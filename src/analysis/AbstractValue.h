@@ -133,9 +133,7 @@ public:
     }
     bool Changed = false;
     if (K == Kind::Refs && Incoming.K == Kind::Refs) {
-      BitSet Before = RefSet;
-      RefSet |= Incoming.RefSet;
-      Changed = RefSet != Before;
+      Changed = RefSet.unionWith(Incoming.RefSet);
     } else if (K == Kind::Int && Incoming.K == Kind::Int) {
       IntVal Merged = MergeInts(Int, Incoming.Int);
       if (Merged != Int) {

@@ -12,8 +12,12 @@
 /// abstract name is unpopulated on the paths reaching this state.
 ///
 /// States are copied on every block visit and merged at every join, so
-/// the three maps are sorted flat vectors (FlatMap): copies are single
-/// contiguous-buffer clones and merges linear two-pointer walks.
+/// the three maps are sorted flat vectors (FlatMap): copies clone one
+/// contiguous buffer per map and merges are linear two-pointer walks.
+/// Copying a buffer still copies each value: reference sets over at most
+/// BitSet::InlineBits abstract references are inline and allocate nothing,
+/// while larger sets, IntVal term lists and null-or-same tags own heap
+/// memory.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -162,16 +162,12 @@ bool StateMerger::merge(AnalysisState &Stored, const AnalysisState &Incoming) {
   for (size_t I = 0, E = Stored.Stack.size(); I != E; ++I)
     Changed |= Stored.Stack[I].mergeFrom(Incoming.Stack[I], FigMerge);
 
-  BitSet NLBefore = Stored.NL;
-  Stored.NL |= Incoming.NL;
-  Changed |= Stored.NL != NLBefore;
+  Changed |= Stored.NL.unionWith(Incoming.NL);
 
   // Young merges by intersection: a reference is young at a join only if
   // it is young on every path into it (a may-have-survived-a-GC reference
   // must not skip the remembered-set barrier).
-  BitSet YoungBefore = Stored.Young;
-  Stored.Young &= Incoming.Young;
-  Changed |= Stored.Young != YoungBefore;
+  Changed |= Stored.Young.intersectWith(Incoming.Young);
 
   // sigma: pointwise, absent keys acting as Bottom. One linear walk per
   // map (see FlatMap::mergeWith).

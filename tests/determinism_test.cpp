@@ -11,6 +11,7 @@
 #include "RandomProgram.h"
 #include "TestUtil.h"
 
+#include "jit/Compiler.h"
 #include "workloads/Workload.h"
 
 using namespace satb;
@@ -30,7 +31,121 @@ bool sameDecisions(const AnalysisResult &A, const AnalysisResult &B) {
   return true;
 }
 
+/// FNV-1a over a stream of integers: a compact fingerprint of a corpus's
+/// barrier decisions, so a golden value pins every site of hundreds of
+/// methods at once.
+struct Fingerprint {
+  uint64_t H = 0xcbf29ce484222325ull;
+  void add(uint64_t V) {
+    for (int I = 0; I != 8; ++I) {
+      H ^= (V >> (8 * I)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  }
+  void add(const CompiledProgram &CP) {
+    for (const CompiledMethod &M : CP.Methods) {
+      add(M.Analysis.Decisions.size());
+      for (const BarrierDecision &D : M.Analysis.Decisions) {
+        add(D.IsBarrierSite);
+        add(D.IsArraySite);
+        add(D.Elide);
+        add(static_cast<uint64_t>(D.Reason));
+        add(D.TargetYoung);
+      }
+      add(M.CodeSize);
+      add(M.CodeSizeNoElision);
+    }
+  }
+};
+
+/// bench/analysis_scaling's method shape: \p Blocks copies of "allocate a
+/// Pair, initialize both fields, fill two slots of a fresh array" in one
+/// loop. Each block adds two allocation sites (four abstract references),
+/// so 8 blocks stay within one 64-bit word of references and 16 or more
+/// do not.
+std::shared_ptr<Program> straightLine(unsigned Blocks) {
+  auto P = std::make_shared<Program>();
+  ClassId Pair = P->addClass("Pair");
+  FieldId A = P->addField(Pair, "a", JType::Ref);
+  FieldId Bf = P->addField(Pair, "b", JType::Ref);
+  MethodBuilder B(*P, "straight", {JType::Int}, std::nullopt);
+  Local T = B.newLocal(JType::Int), X = B.newLocal(JType::Ref);
+  Local Arr = B.newLocal(JType::Ref);
+  Label Head = B.newLabel(), Done = B.newLabel();
+  B.iconst(0).istore(T);
+  B.bind(Head).iload(T).iload(B.arg(0)).ifICmpGe(Done);
+  for (unsigned I = 0; I != Blocks; ++I) {
+    B.newInstance(Pair).astore(X);
+    B.aload(X).aload(X).putfield(A);
+    B.aload(X).aconstNull().putfield(Bf);
+    B.iconst(4).newRefArray().astore(Arr);
+    B.aload(Arr).iconst(0).aload(X).aastore();
+    B.aload(Arr).iconst(1).aload(X).aastore();
+  }
+  B.iinc(T, 1).jump(Head);
+  B.bind(Done).ret();
+  B.finish();
+  return P;
+}
+
+CompilerOptions serialOpts(BarrierMode Mode) {
+  CompilerOptions Opts;
+  Opts.Barrier = Mode;
+  Opts.CompileThreads = 1;
+  return Opts;
+}
+
+uint64_t table1Fingerprint(BarrierMode Mode) {
+  Fingerprint F;
+  for (const Workload &W : allWorkloads())
+    for (uint32_t Limit : {0u, 25u, 50u, 100u, 200u}) {
+      CompilerOptions Opts = serialOpts(Mode);
+      Opts.Inline.InlineLimit = Limit;
+      F.add(compileProgram(*W.P, Opts));
+    }
+  return F.H;
+}
+
+uint64_t straightLineFingerprint(BarrierMode Mode) {
+  Fingerprint F;
+  for (unsigned Blocks : {8u, 16u, 32u, 64u})
+    F.add(compileProgram(*straightLine(Blocks), serialOpts(Mode)));
+  return F.H;
+}
+
+uint64_t randomFingerprint(BarrierMode Mode) {
+  Fingerprint F;
+  for (uint32_t Seed = 1; Seed <= 200; ++Seed) {
+    GeneratedProgram G = RandomProgramGenerator(Seed).generate();
+    F.add(compileProgram(*G.P, serialOpts(Mode)));
+  }
+  return F.H;
+}
+
 } // namespace
+
+// Golden fingerprints of every barrier decision and code size over a fixed
+// corpus. Elision decisions are a pure function of (program, method,
+// config); a change to the analysis's data structures or iteration must
+// leave these values unchanged. Update them only with a change that means
+// to move decisions, and say why.
+TEST(Determinism, DecisionFingerprintTable1) {
+  EXPECT_EQ(table1Fingerprint(BarrierMode::Satb), 0x7b19ea1590f98fc9ull);
+  EXPECT_EQ(table1Fingerprint(BarrierMode::Generational),
+            0xadca307bb732c95aull);
+}
+
+TEST(Determinism, DecisionFingerprintStraightLine) {
+  EXPECT_EQ(straightLineFingerprint(BarrierMode::Satb), 0x6a51be1c49afa2b1ull);
+  EXPECT_EQ(straightLineFingerprint(BarrierMode::Generational),
+            0xd81485c3f91e96c5ull);
+}
+
+TEST(Determinism, DecisionFingerprintRandomPrograms) {
+  EXPECT_EQ(randomFingerprint(BarrierMode::Satb), 0x50735ce3fa4d0b14ull);
+  EXPECT_EQ(randomFingerprint(BarrierMode::Generational),
+            0x4fcc5545c8ac3801ull);
+}
 
 TEST(Determinism, RepeatedAnalysisIdentical) {
   for (uint32_t Seed = 700; Seed != 715; ++Seed) {

@@ -43,13 +43,13 @@ TEST(BitSet, UnionIntersection) {
   B.set(2);
   B.set(65);
   BitSet U = A;
-  U |= B;
+  U.unionWith(B);
   EXPECT_TRUE(U.test(1));
   EXPECT_TRUE(U.test(2));
   EXPECT_TRUE(U.test(65));
   EXPECT_EQ(U.count(), 3u);
   BitSet I = A;
-  I &= B;
+  I.intersectWith(B);
   EXPECT_EQ(I.count(), 1u);
   EXPECT_TRUE(I.test(65));
 }
@@ -97,6 +97,174 @@ TEST(BitSet, ClearAndResize) {
   S.resize(4);
   EXPECT_EQ(S.size(), 4u);
   EXPECT_TRUE(S.empty());
+}
+
+// --- Inline vs. spilled representation ------------------------------------
+//
+// A set of up to BitSet::InlineBits bits keeps its word inline; a larger
+// one spills to the heap. Every operation must behave the same on both,
+// and copies/moves must cross between them without leaking or sharing.
+
+namespace {
+
+constexpr size_t Inline = 40;   // inline representation
+constexpr size_t Spilled = 200; // heap representation, four words
+
+static_assert(Inline <= BitSet::InlineBits && Spilled > BitSet::InlineBits);
+static_assert(sizeof(BitSet) == 16, "one inline word plus the bit count");
+
+/// A deterministic pattern touching the first, last and word-boundary
+/// bits of an \p N-bit universe.
+BitSet pattern(size_t N, size_t Salt) {
+  BitSet S(N);
+  for (size_t I = 0; I < N; ++I)
+    if ((I * 7 + Salt) % 5 == 0 || I == 0 || I + 1 == N || I % 64 == 63)
+      S.set(I);
+  return S;
+}
+
+std::vector<size_t> members(const BitSet &S) {
+  std::vector<size_t> Out;
+  S.forEach([&Out](size_t I) { Out.push_back(I); });
+  return Out;
+}
+
+} // namespace
+
+TEST(BitSet, EveryOperationOnEverySize) {
+  for (size_t N : {0u, 1u, 63u, 64u, 65u, 128u, 129u, 700u}) {
+    SCOPED_TRACE(N);
+    BitSet S(N);
+    EXPECT_EQ(S.size(), N);
+    EXPECT_TRUE(S.empty());
+    EXPECT_EQ(S.count(), 0u);
+    EXPECT_TRUE(members(S).empty());
+    if (N == 0)
+      continue;
+    S.set(0);
+    S.set(N - 1);
+    EXPECT_TRUE(S.test(0));
+    EXPECT_TRUE(S.test(N - 1));
+    EXPECT_EQ(S.count(), N == 1 ? 1u : 2u);
+    EXPECT_EQ(S.firstSetBit(), 0u);
+    if (N > 1) {
+      S.reset(0);
+      EXPECT_EQ(S.firstSetBit(), N - 1);
+      EXPECT_EQ(members(S), std::vector<size_t>{N - 1});
+    }
+
+    BitSet P = pattern(N, 3), Q = pattern(N, 1);
+    BitSet U = P, I = P;
+    U.unionWith(Q);
+    I.intersectWith(Q);
+    for (size_t B = 0; B != N; ++B) {
+      EXPECT_EQ(U.test(B), P.test(B) || Q.test(B)) << B;
+      EXPECT_EQ(I.test(B), P.test(B) && Q.test(B)) << B;
+    }
+    EXPECT_TRUE(I.isSubsetOf(P));
+    EXPECT_TRUE(P.isSubsetOf(U));
+    EXPECT_TRUE(P.intersects(Q));
+    S.clear();
+    EXPECT_TRUE(S.empty());
+    EXPECT_FALSE(S.intersects(P));
+  }
+}
+
+TEST(BitSet, CopyAndMoveAcrossRepresentations) {
+  // All four inline<->spilled directions, each by copy/move construction
+  // and by copy/move assignment over an existing set.
+  for (size_t From : {Inline, Spilled})
+    for (size_t To : {size_t(10), Inline, size_t(129), Spilled}) {
+      SCOPED_TRACE(testing::Message() << From << " -> " << To);
+      const BitSet Src = pattern(From, 2);
+
+      BitSet CopyCtor(Src);
+      EXPECT_EQ(CopyCtor, Src);
+
+      BitSet CopyAssign = pattern(To, 4);
+      CopyAssign = Src;
+      EXPECT_EQ(CopyAssign, Src);
+      CopyAssign.set(From - 2);
+      EXPECT_NE(CopyAssign, Src) << "a copy must not share words";
+      EXPECT_FALSE(Src.test(From - 2));
+
+      BitSet Moving = Src;
+      BitSet MoveCtor(std::move(Moving));
+      EXPECT_EQ(MoveCtor, Src);
+      EXPECT_EQ(Moving.size(), 0u);
+
+      BitSet Moving2 = Src;
+      BitSet MoveAssign = pattern(To, 1);
+      MoveAssign = std::move(Moving2);
+      EXPECT_EQ(MoveAssign, Src);
+      EXPECT_EQ(Moving2.size(), 0u);
+      EXPECT_TRUE(Moving2.empty());
+    }
+}
+
+TEST(BitSet, SelfAssignmentKeepsContents) {
+  for (size_t N : {Inline, Spilled}) {
+    BitSet S = pattern(N, 2);
+    const BitSet Want = S;
+    BitSet &Alias = S; // spelled through a reference to keep
+    S = Alias;         // -Wself-assign/-Wself-move quiet
+    EXPECT_EQ(S, Want);
+    S = std::move(Alias);
+    EXPECT_EQ(S, Want);
+  }
+}
+
+TEST(BitSet, MovedFromSetIsReusable) {
+  for (size_t N : {Inline, Spilled})
+    for (size_t Reuse : {Inline, Spilled}) {
+      BitSet S = pattern(N, 0);
+      BitSet Taken(std::move(S));
+      S.resize(Reuse);
+      EXPECT_EQ(S.size(), Reuse);
+      EXPECT_TRUE(S.empty());
+      S.set(Reuse - 1);
+      EXPECT_EQ(members(S), std::vector<size_t>{Reuse - 1});
+      S = Taken;
+      EXPECT_EQ(S, pattern(N, 0));
+      BitSet Again = std::move(Taken);
+      Taken = Again; // assignment into a moved-from set
+      EXPECT_EQ(Taken, Again);
+    }
+}
+
+TEST(BitSet, EqualityComparesSizeAcrossRepresentations) {
+  // Sizes that share a word count or straddle the inline capacity: equal
+  // (all-clear) words never make sets of different sizes equal.
+  const size_t Sizes[] = {0, 1, 63, 64, 65, 128, 129, 700};
+  for (size_t A : Sizes)
+    for (size_t B : Sizes)
+      EXPECT_EQ(BitSet(A) == BitSet(B), A == B) << A << " vs " << B;
+  EXPECT_EQ(pattern(700, 2), pattern(700, 2));
+  EXPECT_NE(pattern(700, 2), pattern(700, 3));
+}
+
+TEST(BitSet, JoinsReportChange) {
+  for (size_t N : {Inline, Spilled}) {
+    SCOPED_TRACE(N);
+    BitSet Low(N), High(N);
+    Low.set(1);
+    High.set(N - 1); // last word: the fourth one when spilled
+    BitSet Both = Low;
+    EXPECT_FALSE(Both.unionWith(Low)) << "union with a subset";
+    EXPECT_TRUE(Both.unionWith(High));
+    EXPECT_FALSE(Both.unionWith(High)) << "repeat union";
+    EXPECT_EQ(members(Both), (std::vector<size_t>{1, N - 1}));
+    EXPECT_FALSE(Both.unionWith(BitSet(N)));
+
+    BitSet Meet = Both;
+    EXPECT_FALSE(Meet.intersectWith(Both)) << "intersect with a superset";
+    EXPECT_TRUE(Meet.intersectWith(High));
+    EXPECT_FALSE(Meet.intersectWith(High)) << "repeat intersection";
+    EXPECT_EQ(Meet, High);
+    EXPECT_TRUE(Meet.intersectWith(Low));
+    EXPECT_TRUE(Meet.empty());
+    EXPECT_FALSE(Meet.intersectWith(Low)) << "empty stays empty";
+  }
 }
 
 TEST(Stopwatch, MeasuresNonNegativeTime) {
