@@ -78,6 +78,12 @@ ServerRun runConfig(const ServerConfig &C, int64_t RequestsPerMutator) {
                  C.Name, static_cast<unsigned long long>(R.Violations));
     std::abort();
   }
+  if (R.RemSetViolations != 0) {
+    std::fprintf(stderr,
+                 "bench: %s broke the remembered set (%llu violations)\n",
+                 C.Name, static_cast<unsigned long long>(R.RemSetViolations));
+    std::abort();
+  }
   for (unsigned T = 0; T != Mutators; ++T) {
     if (R.Statuses[T] != RunStatus::Finished) {
       std::fprintf(stderr, "bench: %s mutator %u did not finish (%llu/%llu "

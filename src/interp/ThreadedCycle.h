@@ -61,9 +61,11 @@ enum class MultiMarkerKind { Satb, IncrementalUpdate };
 
 struct MultiMutatorConfig {
   MultiMarkerKind Marker = MultiMarkerKind::Satb;
-  /// Mutator steps attempted between driver-level safepoint checks (the
-  /// engine additionally polls at every translated safepoint inside the
-  /// quantum, so pauses do not wait for quantum boundaries).
+  /// Fuel per engine resume: the quantum only sizes the slices the driver
+  /// runs each mutator in. A pending pause is served at the engine's next
+  /// translated Safepoint poll (or before the first instruction of a
+  /// run), never at a slice boundary, which may fall between any two
+  /// instructions.
   uint64_t PollQuantum = 512;
   size_t MarkerQuantum = 64;  ///< marker work units per concurrent round
   uint64_t StepLimit = 20'000'000; ///< per mutator
@@ -140,6 +142,9 @@ struct MultiMutatorResult {
   std::vector<BarrierStats> Shards;
   BarrierStats Merged;
   uint64_t Violations = 0;       ///< from the merged shards
+  /// Young-target elisions that ran on an old base (generational mode),
+  /// from the merged shards.
+  uint64_t RemSetViolations = 0;
   uint64_t LoggedPreValues = 0;  ///< SATB marker total (exact, lock-counted)
   /// Filled only when Cfg.DebugTraceCounts: TraceCounts[R] is how many
   /// times the marker traced object R (the mark-once property demands

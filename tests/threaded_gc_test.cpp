@@ -195,9 +195,11 @@ INSTANTIATE_TEST_SUITE_P(
                        /*superinstruction fusion*/ ::testing::Bool()));
 
 TEST(MultiMutator, TinyPollQuantaStress) {
-  // One-step quanta force a driver-level safepoint check between every
-  // engine resume, maximizing park/handshake traffic — and, with fusion
-  // on, routinely suspend mid-superinstruction at the poll.
+  // One-step quanta make the driver check for a pending pause and resume
+  // the engine at every instruction — with fusion on, routinely in the
+  // middle of a superinstruction. Parks still happen only at translated
+  // polls (or before a run's first instruction), so this maximizes
+  // resume traffic without adding park sites.
   for (bool Fuse : {true, false}) {
     MultiMutatorConfig Cfg;
     Cfg.PollQuantum = 1;
@@ -429,6 +431,37 @@ TEST(MultiMutator, GenerationalNurseryGrid) {
       }
       EXPECT_GT(Promoted, 0u) << What;
     }
+  }
+}
+
+TEST(MultiMutator, GenerationalNurseryTinyQuanta) {
+  // The grid's generational configuration with one-step quanta: a fuel
+  // boundary falls between every pair of instructions, including between
+  // a `new` and the elided young-target stores into it. A minor
+  // collection served at such a boundary would promote the half-built
+  // object and turn those elisions into remembered-set violations, so
+  // this catches a driver that parks anywhere but at a GC point on any
+  // CPU count, not only when the coordinator happens to run mid-slice.
+  Workload W = makeJbbLike();
+  CompilerOptions Opts;
+  Opts.Interp = InterpMode::Fast;
+  Opts.Barrier = BarrierMode::Generational;
+  CompiledProgram CP = compileProgram(*W.P, Opts);
+  for (bool Fuse : {true, false}) {
+    const char *What = Fuse ? "tiny-quanta generational fused"
+                            : "tiny-quanta generational unfused";
+    MultiMutatorConfig Cfg;
+    Cfg.PollQuantum = 1;
+    Cfg.WarmupAllocs = 300;
+    Cfg.Fuse = Fuse;
+    Cfg.MarkThreads = Fuse ? 2 : 1;
+    Cfg.EnableNursery = true;
+    Cfg.NurseryBytes = 16 * 1024;
+    MultiMutatorResult R =
+        runWithConcurrentMutators(3, *W.P, CP, W.Entry, {20000}, Cfg);
+    expectClean(R, What);
+    EXPECT_GE(R.Minor.Collections, 1u) << What;
+    EXPECT_EQ(R.RemSetViolations, 0u) << What;
   }
 }
 
