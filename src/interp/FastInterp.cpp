@@ -1411,10 +1411,10 @@ DispatchTop:
     NEXT();
   }
   CASE(Safepoint) {
-    // A poll is one relaxed load + branch; refund its fuel so Steps
-    // counts only real instructions (step totals stay comparable with the
-    // poll-free translation). On a pending request, suspend past the poll
-    // with Status still Running — the driver parks and resumes.
+    // A poll is one relaxed load + branch; refund its fuel so Steps counts
+    // only real instructions. On a pending request, suspend past the poll
+    // with Status Running: the only Running early exit, which the driver
+    // relies on to park only here (runWithConcurrentMutators' Drive).
     ++Fuel;
     if (SpReq && SpReq->load(std::memory_order_relaxed)) {
       ++IP;
@@ -1945,7 +1945,7 @@ DispatchTop:
   assert(false && "unknown fast opcode");
 #endif
 
-ExitLoop:
+ExitLoop: // Running here: fuel ran out, or a Safepoint poll fired.
   if (!Frames.empty()) {
     Frames.back().IP = IP;
     Frames.back().SP = SP;

@@ -66,6 +66,17 @@ public:
   Slot result() const { return Result; }
   uint64_t stepsExecuted() const { return Steps; }
   uint64_t barrierCostInstrs() const { return BarrierCost; }
+  /// True when the engine is suspended just past a translated Safepoint
+  /// poll. The poll handler is the only early exit of step() that leaves
+  /// the status Running; runWithConcurrentMutators relies on that to park
+  /// mutators only at GC points, and checks it with this accessor.
+  bool suspendedAtPoll() const {
+    if (Status != RunStatus::Running || Frames.empty())
+      return false;
+    const Frame &F = Frames.back();
+    return F.IP != F.FM->Code.data() &&
+           F.IP[-1].Op == static_cast<uint16_t>(FastOp::Safepoint);
+  }
 
   void collectRoots(std::vector<ObjRef> &Out) const;
   std::vector<ObjRef> collectRoots() const {
