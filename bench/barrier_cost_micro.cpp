@@ -144,7 +144,7 @@ void runGenMode(benchmark::State &State, uint32_t PretenureBytes,
     H.enableNursery(NC);
     SatbMarker M(H);
     MinorGC Gen(H);
-    Gen.attachSatb(&M);
+    Gen.attachMarker(&M);
     Gen.setRemSetValid(true);
     Interpreter I(P, CP, H);
     I.attachSatb(&M);

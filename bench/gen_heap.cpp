@@ -73,7 +73,7 @@ GenRun runGenerational(const Workload &W, int64_t Scale) {
   H.enableNursery(NC);
   SatbMarker M(H);
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(true);
   auto Execute = [&](auto &I) {
     I.attachSatb(&M);

@@ -67,7 +67,7 @@ int main() {
       Interpreter I(*W.P, CP, H);
       I.attachIncUpdate(&M);
       ConcurrentRunResult R =
-          runWithConcurrentIncUpdate(I, M, H, W.Entry, {Scale}, RC);
+          runWithConcurrentCycle(I, M, H, W.Entry, {Scale}, RC);
       if (!R.OracleHolds) {
         std::fprintf(stderr, "IU oracle violated on %s\n", W.Name.c_str());
         return 1;

@@ -74,7 +74,7 @@ int main() {
     ConcurrentRunConfig Cfg;
     Cfg.WarmupSteps = 20000;
     ConcurrentRunResult R =
-        runWithConcurrentIncUpdate(I, M, H, W.Entry, {2000}, Cfg);
+        runWithConcurrentCycle(I, M, H, W.Entry, {2000}, Cfg);
 
     std::printf("Incremental-update cycle on '%s' (card marking):\n",
                 W.Name.c_str());
@@ -95,8 +95,10 @@ int main() {
     SatbMarker M(H);
     Interpreter I(*W.P, CP, H);
     I.attachSatb(&M);
-    ThreadedRunConfig Cfg;
+    ConcurrentRunConfig Cfg;
     Cfg.WarmupSteps = 20000;
+    Cfg.MutatorQuantum = 128; // interpreter steps per lock hold
+    Cfg.MarkerQuantum = 32;   // marker work units per lock hold
     ConcurrentRunResult R =
         runWithThreadedSatb(I, M, H, W.Entry, {2000}, Cfg);
     std::printf("SATB cycle with the marker on a real thread:\n");

@@ -2,10 +2,11 @@
 ///
 /// \file
 /// Decides *when* collection cycles run, from allocation pressure instead
-/// of script order (DESIGN.md "Server workload & pacer"). The scripted
-/// multi-mutator driver runs exactly one marking cycle at a fixed warmup
-/// point — fine for batch benches, wrong for the server-shaped workload
-/// where cycles must start and finish underneath long-running request
+/// of script order (DESIGN.md "Server workload & pacer"): the trigger
+/// policy of the multi-mutator coordinator loop. Its other policy, the
+/// scripted one, runs exactly one marking cycle at a fixed warmup point —
+/// fine for batch benches, wrong for the server-shaped workload where
+/// cycles must start and finish underneath long-running request
 /// handlers. The pacer watches three monotone heap counters the mutators
 /// already publish relaxed (bytesAllocatedApprox, numLive, the nursery
 /// carve cursor) and answers two questions on the coordinator thread:
@@ -44,7 +45,7 @@ namespace satb {
 
 struct PacerConfig {
   /// Pacer-driven cycle triggering (SATB_PACER=1). Off by default: the
-  /// scripted single-cycle driver stays the bit-identical baseline.
+  /// scripted single-cycle policy stays the bit-identical baseline.
   bool Enabled = enabledDefault();
   /// Allocation-pressure trigger: start a cycle once this many bytes have
   /// been allocated since the previous cycle ended (SATB_PACER_TRIGGER_KB).

@@ -2,187 +2,26 @@
 
 #include "gc/SatbMarker.h"
 
-#include "support/ThreadPool.h"
-
-#include <thread>
-
 using namespace satb;
 
-void SatbMarker::setMarkThreads(unsigned N, ThreadPool *Pool) {
-  assert(!isActive() && "changing mark threads mid-cycle");
-  assert((N <= 1 || (Pool && Pool->numThreads() >= N)) &&
-         "MarkThreads > 1 needs a pool with at least that many threads");
-  MarkThreads = N == 0 ? 1 : N;
-  MarkPool = MarkThreads > 1 ? Pool : nullptr;
-}
-
-void SatbMarker::enableTraceCounts(size_t CapacityRefs) {
-  TraceCounts.reset(new std::atomic<uint32_t>[CapacityRefs]());
-  TraceCountCap = CapacityRefs;
-}
-
 void SatbMarker::beginMarking(const std::vector<ObjRef> &MutatorRoots) {
-  assert(!isActive() && "marking already in progress");
-  // Relaxed suffices: beginMarking runs at a stop-the-world point; the
-  // safepoint release ordering publishes the flag to every mutator.
-  Active.store(true, std::memory_order_relaxed);
   H.setAllocateMarked(true);
-  MarkStack.clear();
-  // Root snapshot: mutator stacks + statics. Roots are marked immediately
-  // (they are trivially part of the snapshot).
-  size_t Work = 0;
-  for (ObjRef R : MutatorRoots)
-    pushIfUnmarked(R, Work);
-  for (ObjRef R : H.staticRefs())
-    pushIfUnmarked(R, Work);
+  beginCycle(MutatorRoots);
 }
 
-void SatbMarker::pushIfUnmarked(ObjRef R, size_t &Work) {
-  if (R == NullRef || !H.isLive(R) || H.isMarked(R))
-    return;
-  H.setMarked(R);
-  ++Stats.MarkedObjects;
-  ++Work;
-  MarkStack.push_back(R);
-}
-
-void SatbMarker::scanObject(ObjRef R, size_t &Work) {
-  HeapObject &Obj = H.object(R);
-  storeTracingRelaxed(Obj, TraceState::Tracing);
-  // Acquire per slot: a concurrently stored reference must publish its
-  // referent's table entry and zeroed payload before we push it.
-  const ObjRef *Slots = Obj.refs();
-  if (Obj.Kind == ObjectKind::RefArray) {
-    // Reference arrays take the word-at-a-time range path: one bitmap
-    // fetch_or per touched mark word instead of one test-and-set per
-    // slot, with callback order equal to the slot-by-slot loop's.
-    H.markRangeWords(Slots, Obj.NumRefs, [&](ObjRef V) {
-      ++Stats.MarkedObjects;
-      ++Work;
-      MarkStack.push_back(V);
-    });
-  } else {
-    for (uint32_t I = 0, E = Obj.NumRefs; I != E; ++I)
-      pushIfUnmarked(loadRefAcquire(&Slots[I]), Work);
+bool SatbMarker::refill(Drainer &D) {
+  std::vector<ObjRef> Buf;
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    if (CompletedBuffers.empty())
+      return false;
+    Buf = std::move(CompletedBuffers.back());
+    CompletedBuffers.pop_back();
   }
-  storeTracingRelaxed(Obj, TraceState::Traced);
-  bumpTrace(R);
-  ++Work;
-}
-
-// --- Parallel drain ---------------------------------------------------------
-
-uint64_t SatbMarker::parallelDrain(size_t Budget, bool ToCompletion) {
-  assert(MarkPool && MarkPool->numThreads() >= MarkThreads);
-  // Seed the hand-off queue with whatever the serial entry points staged
-  // (roots from beginMarking, retrace pushes from finishMarking).
-  if (!MarkStack.empty()) {
-    Grey.push(std::move(MarkStack));
-    MarkStack.clear();
-  }
-  TerminationGate Gate;
-  Gate.reset(MarkThreads);
-  std::atomic<uint64_t> Marked{0};
-  std::atomic<uint64_t> Work{0};
-  MarkPool->parallelFor(MarkThreads, [&](size_t) {
-    parallelWorker(Budget, ToCompletion, Gate, Marked, Work);
-  });
-  Stats.MarkedObjects += Marked.load();
-  return Work.load();
-}
-
-void SatbMarker::parallelWorker(size_t Budget, bool ToCompletion,
-                                TerminationGate &Gate,
-                                std::atomic<uint64_t> &MarkedOut,
-                                std::atomic<uint64_t> &WorkOut) {
-  GreySegment Local;
-  uint64_t Marked = 0;
-  uint64_t Work = 0;
-  bool Counted = true; // this worker is counted in the gate
-  // Admit: a reference this worker just claimed. Claim: test-and-claim a
-  // single slot value; the range path claims whole mark words at a time
-  // (markRangeWords) and feeds the winners straight to Admit.
-  auto Admit = [&](ObjRef R) {
-    ++Marked;
-    ++Work;
-    Local.push_back(R);
-    if (Local.size() >= 2 * GreySegmentTarget) {
-      // Offload the *oldest* half: deep stacks mean a skewed subgraph, and
-      // the bottom entries fan out widest.
-      GreySegment Out(Local.begin(), Local.begin() + GreySegmentTarget);
-      Local.erase(Local.begin(), Local.begin() + GreySegmentTarget);
-      Grey.push(std::move(Out));
-    }
-  };
-  auto Claim = [&](ObjRef R) {
-    if (R == NullRef || !H.isLive(R) || !H.tryClaimMark(R))
-      return;
-    Admit(R);
-  };
-  for (;;) {
-    while (!Local.empty() && (ToCompletion || Work < Budget)) {
-      ObjRef R = Local.back();
-      Local.pop_back();
-      HeapObject &Obj = H.object(R);
-      storeTracingRelaxed(Obj, TraceState::Tracing);
-      const ObjRef *Slots = Obj.refs();
-      if (Obj.Kind == ObjectKind::RefArray)
-        H.markRangeWords(Slots, Obj.NumRefs, Admit);
-      else
-        for (uint32_t I = 0, E = Obj.NumRefs; I != E; ++I)
-          Claim(loadRefAcquire(&Slots[I]));
-      storeTracingRelaxed(Obj, TraceState::Traced);
-      bumpTrace(R);
-      ++Work;
-    }
-    if (!ToCompletion && Work >= Budget) {
-      // Budget exhausted: park remaining work where other workers (or the
-      // next markStep) can reach it.
-      Grey.push(std::move(Local));
-      break;
-    }
-    // Local stack dry: refill from a hand-off segment, then from a
-    // completed SATB buffer.
-    if (Grey.tryPop(Local))
-      continue;
-    GreySegment Buf;
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      if (!CompletedBuffers.empty()) {
-        Buf = std::move(CompletedBuffers.back());
-        CompletedBuffers.pop_back();
-      }
-    }
-    if (!Buf.empty()) {
-      for (ObjRef Pre : Buf)
-        Claim(Pre);
-      ++Work;
-      continue;
-    }
-    // No work anywhere we can see: enter the termination protocol.
-    Gate.goIdle();
-    Counted = false;
-    for (;;) {
-      // Read the gate BEFORE re-checking for work: any segment handed off
-      // before the last worker went idle is then guaranteed visible to
-      // the work check, so "allIdle and still no work" is a sound exit.
-      bool Done = Gate.allIdle();
-      if (!Grey.empty() || queuedBuffers()) {
-        Gate.reOffer();
-        Counted = true;
-        break;
-      }
-      if (Done)
-        break;
-      std::this_thread::yield();
-    }
-    if (!Counted)
-      break;
-  }
-  if (Counted)
-    Gate.goIdle();
-  MarkedOut.fetch_add(Marked);
-  WorkOut.fetch_add(Work);
+  for (ObjRef Pre : Buf)
+    D.grey(Pre);
+  ++D.Work;
+  return true;
 }
 
 void SatbMarker::logPreValue(ObjRef Pre) {
@@ -221,42 +60,6 @@ void SatbMarker::flushBuffer(std::vector<ObjRef> &&Buf) {
   } else {
     ++Stats.BuffersDiscarded;
   }
-}
-
-bool SatbMarker::markStep(size_t Budget) {
-  assert(isActive() && "markStep outside a marking cycle");
-  if (MarkThreads > 1) {
-    Stats.ConcurrentWork += parallelDrain(Budget, /*ToCompletion=*/false);
-    if (!Grey.empty())
-      return false;
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    return CompletedBuffers.empty();
-  }
-  size_t Work = 0;
-  while (Work < Budget) {
-    if (!MarkStack.empty()) {
-      ObjRef R = MarkStack.back();
-      MarkStack.pop_back();
-      scanObject(R, Work);
-      continue;
-    }
-    std::vector<ObjRef> Buf;
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      if (CompletedBuffers.empty())
-        break;
-      Buf = std::move(CompletedBuffers.back());
-      CompletedBuffers.pop_back();
-    }
-    for (ObjRef Pre : Buf)
-      pushIfUnmarked(Pre, Work);
-    ++Work;
-  }
-  Stats.ConcurrentWork += Work;
-  if (!MarkStack.empty())
-    return false;
-  std::lock_guard<std::mutex> Lock(QueueMutex);
-  return CompletedBuffers.empty();
 }
 
 bool SatbMarker::enterRearrange(ObjRef Arr) {
@@ -302,7 +105,6 @@ size_t SatbMarker::finishMarking() {
   // The pause: every mutator is stopped (parked at a safepoint in the
   // multi-mutator driver, or the caller is sequential) with its context
   // buffer already flushed; drain everything to completion.
-  size_t Pause = 0;
   flushCurrentBuffer();
   // Rearrangement loops still in flight, plus every array whose loop
   // overlapped the marker, are rescanned conservatively inside the pause.
@@ -315,61 +117,16 @@ size_t SatbMarker::finishMarking() {
     }
     ActiveRearranges.clear();
     for (ObjRef Arr : RetraceList) {
-      HeapObject *Obj = H.objectOrNull(Arr);
-      if (!Obj)
-        continue;
-      // Retraced arrays take the same word-at-a-time path as scanObject.
-      H.markRangeWords(Obj->refs(), Obj->NumRefs, [&](ObjRef V) {
-        ++Stats.MarkedObjects;
-        ++Pause;
-        MarkStack.push_back(V);
-      });
-      ++Pause;
+      if (HeapObject *Obj = H.objectOrNull(Arr)) {
+        Serial.greySlots(*Obj);
+        ++Serial.Work;
+      }
     }
     RetraceList.clear();
   }
-  if (MarkThreads > 1) {
-    // Parallel termination drain: mutators are parked, so no new buffers
-    // can arrive — one drain to completion empties the grey queue, the
-    // retrace pushes staged on MarkStack above, and every hand-over
-    // buffer.
-    Pause += parallelDrain(0, /*ToCompletion=*/true);
-    assert(Grey.empty() && MarkStack.empty() && "parallel drain left work");
-    Stats.FinalPauseWork += Pause;
-    Active.store(false, std::memory_order_relaxed);
-    H.setAllocateMarked(false);
-    return Pause;
-  }
-  for (;;) {
-    if (!MarkStack.empty()) {
-      ObjRef R = MarkStack.back();
-      MarkStack.pop_back();
-      scanObject(R, Pause);
-      continue;
-    }
-    std::vector<ObjRef> Buf;
-    {
-      std::lock_guard<std::mutex> Lock(QueueMutex);
-      if (CompletedBuffers.empty())
-        break;
-      Buf = std::move(CompletedBuffers.back());
-      CompletedBuffers.pop_back();
-    }
-    for (ObjRef Pre : Buf)
-      pushIfUnmarked(Pre, Pause);
-    ++Pause;
-  }
-  Stats.FinalPauseWork += Pause;
-  Active.store(false, std::memory_order_relaxed);
+  // Mutators are parked, so no new buffers can arrive: one drain to
+  // completion empties the grey set and every hand-over buffer.
+  size_t Pause = drain(SIZE_MAX);
   H.setAllocateMarked(false);
-  return Pause;
-}
-
-size_t SatbMarker::sweep() {
-  assert(!isActive() && "sweep during marking");
-  // A word-wise scan of the heap's live & ~marked bitmaps; the heap
-  // clears marks and tracing states afterwards.
-  size_t Freed = H.sweepUnmarked();
-  Stats.SweptObjects += Freed;
-  return Freed;
+  return endCycle(Pause);
 }

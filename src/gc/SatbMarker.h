@@ -23,63 +23,29 @@
 #ifndef SATB_GC_SATBMARKER_H
 #define SATB_GC_SATBMARKER_H
 
-#include "gc/ParallelMark.h"
-#include "heap/Heap.h"
+#include "gc/MarkingCore.h"
 
 #include <map>
-#include <memory>
-#include <mutex>
 
 namespace satb {
 
-class ThreadPool;
-
-struct SatbStats {
+struct SatbStats : MarkStats {
   uint64_t LoggedPreValues = 0;   ///< barrier slow-path executions
   uint64_t BuffersFlushed = 0;    ///< completed buffers handed to marker
   uint64_t BuffersDiscarded = 0;  ///< always-log buffers outside marking
-  uint64_t ConcurrentWork = 0;    ///< objects scanned concurrently
-  uint64_t FinalPauseWork = 0;    ///< objects + slots processed in the pause
-  uint64_t MarkedObjects = 0;
-  uint64_t SweptObjects = 0;
   // Section 4.3 array-rearrangement protocol counters.
   uint64_t RearrangesEntered = 0;
   uint64_t RearrangesClean = 0;    ///< exits with no marker overlap
   uint64_t RearrangeRetraces = 0;  ///< arrays queued for retracing
 };
 
-class SatbMarker {
+/// The SATB marker: the marking core (gc/MarkingCore.h) refilled from
+/// completed SATB buffers. markStep, sweep and the parallel-marking and
+/// trace-count knobs are the core's.
+class SatbMarker : public MarkingCore {
 public:
   explicit SatbMarker(Heap &H, size_t BufferCapacity = 256)
-      : H(H), BufferCapacity(BufferCapacity) {}
-
-  /// Parallel-marking knob. The default (1) is exactly the serial marker:
-  /// the same code paths run, observables and stats are bit-identical.
-  /// With \p N > 1, markStep and finishMarking drain with N workers over
-  /// sharded grey stacks (see ParallelMark.h); \p Pool must outlive the
-  /// marker's cycles and hold at least N threads (ThreadPool counts the
-  /// caller, so ThreadPool(N) is the natural pool). Call between cycles
-  /// only, never mid-drain.
-  void setMarkThreads(unsigned N, ThreadPool *Pool = nullptr);
-  unsigned markThreads() const { return MarkThreads; }
-
-  /// Debug instrumentation for the mark-once property tests: allocates a
-  /// per-ObjRef trace counter (capacity \p CapacityRefs) that every
-  /// object scan increments. Off by default — the counters exist so tests
-  /// can assert each claimed object is traced exactly once under M > 1.
-  void enableTraceCounts(size_t CapacityRefs);
-  uint32_t traceCount(ObjRef R) const {
-    return TraceCounts && R < TraceCountCap
-               ? TraceCounts[R].load(std::memory_order_relaxed)
-               : 0;
-  }
-
-  /// Relaxed: mutators poll this on every barrier slow path. Transitions
-  /// happen only at the stop-the-world edges of a cycle (beginMarking /
-  /// finishMarking), which the safepoint handshake orders against every
-  /// mutator's next step; a stale read in always-log mode only routes one
-  /// extra value through a buffer that gets discarded.
-  bool isActive() const { return Active.load(std::memory_order_relaxed); }
+      : MarkingCore(H), BufferCapacity(BufferCapacity) {}
 
   /// Starts a marking cycle: snapshots the roots (mutator stacks passed in;
   /// statics read from the heap), arms allocate-black, and activates the
@@ -99,19 +65,10 @@ public:
   /// arriving outside a cycle are discarded unread (always-log mode).
   void flushBuffer(std::vector<ObjRef> &&Buf);
 
-  /// Runs up to \p Budget units of concurrent marking (one unit = one
-  /// object scanned or one buffer entry consumed). \returns true when no
-  /// work appears to remain.
-  bool markStep(size_t Budget);
-
   /// The final termination pause: flush the mutator's current buffer,
   /// drain everything to completion, deactivate the barrier. \returns the
   /// work done inside the pause (the pause-time proxy of bench S1).
   size_t finishMarking();
-
-  /// Frees unmarked objects; clears marks. Call only after finishMarking.
-  /// \returns the number of objects freed.
-  size_t sweep();
 
   // --- Section 4.3 array-rearrangement protocol ---------------------------
   //
@@ -139,34 +96,16 @@ public:
   const SatbStats &stats() const { return Stats; }
 
 private:
-  void pushIfUnmarked(ObjRef R, size_t &Work);
-  /// Scans one gray object (marks children).
-  void scanObject(ObjRef R, size_t &Work);
-  void flushCurrentBuffer();
-  void bumpTrace(ObjRef R) {
-    if (TraceCounts && R < TraceCountCap)
-      TraceCounts[R].fetch_add(1, std::memory_order_relaxed);
-  }
-
-  // --- Parallel drain (MarkThreads > 1) -----------------------------------
-  /// Seeds the grey queue from MarkStack, runs MarkThreads workers to a
-  /// per-worker \p Budget (\p ToCompletion ignores the budget and drains
-  /// everything), and folds worker totals into Stats. \returns the summed
-  /// work units.
-  uint64_t parallelDrain(size_t Budget, bool ToCompletion);
-  void parallelWorker(size_t Budget, bool ToCompletion,
-                      TerminationGate &Gate, std::atomic<uint64_t> &MarkedOut,
-                      std::atomic<uint64_t> &WorkOut);
-  bool queuedBuffers() {
+  MarkStats &counters() override { return Stats; }
+  /// Refill: one completed buffer's pre-values join the grey set.
+  bool refill(Drainer &D) override;
+  bool refillPending() override {
     std::lock_guard<std::mutex> Lock(QueueMutex);
     return !CompletedBuffers.empty();
   }
+  void flushCurrentBuffer();
 
-  Heap &H;
   size_t BufferCapacity;
-  std::atomic<bool> Active{false};
-  /// Marker-thread private.
-  std::vector<ObjRef> MarkStack;
   /// Single-mutator log (unused by multi-mutator contexts).
   std::vector<ObjRef> CurrentBuffer;
   /// Shared hand-over queue: mutators push via flushBuffer, the marker
@@ -181,14 +120,6 @@ private:
   std::map<ObjRef, TraceState> ActiveRearranges;
   std::vector<ObjRef> RetraceList;
   SatbStats Stats;
-  /// Parallel-marking state: the segment hand-off queue holds grey work
-  /// between budgeted drains; unused (always empty) when MarkThreads == 1.
-  unsigned MarkThreads = 1;
-  ThreadPool *MarkPool = nullptr;
-  GreyQueue Grey;
-  /// Mark-once debug counters (test instrumentation, normally null).
-  std::unique_ptr<std::atomic<uint32_t>[]> TraceCounts;
-  size_t TraceCountCap = 0;
 };
 
 } // namespace satb

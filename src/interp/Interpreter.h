@@ -8,9 +8,9 @@
 /// instrumentation counters.
 ///
 /// The interpreter is step-driven so marking can be interleaved with
-/// mutation at instruction granularity; runWithConcurrentSatb /
-/// runWithConcurrentIncUpdate drive a full concurrent cycle and check the
-/// respective marker's correctness oracle.
+/// mutation at instruction granularity; runWithConcurrentCycle drives a
+/// full concurrent cycle on either marker and checks its correctness
+/// oracle.
 ///
 /// Integer semantics are JVM int: 32-bit two's-complement wraparound
 /// (relevant to the Section 3.6 overflow discussion). Traps (null
@@ -29,6 +29,9 @@
 #include "heap/Heap.h"
 #include "interp/BarrierStats.h"
 #include "jit/Compiler.h"
+
+#include <algorithm>
+#include <type_traits>
 
 namespace satb {
 
@@ -193,45 +196,87 @@ struct ConcurrentRunResult {
   size_t Swept = 0;
 };
 
-/// Runs \p Entry with a SATB marking cycle interleaved after WarmupSteps,
-/// checking the snapshot oracle before sweeping. Templated over the
-/// engine so the reference Interpreter and the FastInterp run the same
-/// deterministic schedule (the equivalence test drives both).
-template <typename Engine>
-ConcurrentRunResult
-runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
-                      const std::vector<int64_t> &IntArgs,
-                      const ConcurrentRunConfig &Cfg) {
+/// One marking cycle as every cycle driver runs it, over either marker:
+/// begin(roots), step(budget), finish(final roots) and sweep. The adapter
+/// owns the marker's correctness oracle, accumulated across the cycles of
+/// a run: SATB requires everything reachable in the start-of-marking
+/// snapshot to be marked at the final pause; incremental update requires
+/// everything reachable at the final pause.
+template <typename MarkerT> class MarkingCycle {
+  static constexpr bool IsSatb = std::is_same_v<MarkerT, SatbMarker>;
+
+public:
+  MarkingCycle(MarkerT &M, Heap &H) : M(M), H(H) {}
+
+  /// Starts a cycle at a stop-the-world point; SATB takes its snapshot
+  /// oracle here.
+  void begin(const std::vector<ObjRef> &Roots) {
+    if constexpr (IsSatb)
+      Snapshot = computeReachable(H, Roots);
+    M.beginMarking(Roots);
+  }
+  bool step(size_t Budget) { return M.markStep(Budget); }
+  /// The final pause: terminates marking and evaluates the oracle.
+  /// \p FinalRoots returns the roots at the pause; only incremental update
+  /// calls it. \returns the pause work.
+  template <typename RootsFn> size_t finish(RootsFn &&FinalRoots) {
+    if constexpr (IsSatb) {
+      size_t Pause = M.finishMarking();
+      check(Snapshot);
+      return Pause;
+    } else {
+      std::vector<ObjRef> Roots = FinalRoots();
+      size_t Pause = M.finishMarking(Roots);
+      check(computeReachable(H, Roots));
+      return Pause;
+    }
+  }
+  size_t sweep() { return M.sweep(); }
+  MarkerT &marker() const { return M; }
+
+  bool OracleHolds = true;
+  uint64_t OracleLive = 0; ///< objects the oracle required marked
+  /// SATB: the last cycle's start-of-marking reachability bitmap.
+  std::vector<bool> Snapshot;
+
+private:
+  void check(const std::vector<bool> &MustBeMarked) {
+    for (ObjRef Ref = 1; Ref < MustBeMarked.size(); ++Ref) {
+      if (!MustBeMarked[Ref])
+        continue;
+      ++OracleLive;
+      if (!(H.isLive(Ref) && H.isMarked(Ref)))
+        OracleHolds = false;
+    }
+  }
+
+  MarkerT &M;
+  Heap &H;
+};
+
+/// The single-mutator cycle skeleton: run \p Entry for WarmupSteps, begin
+/// a cycle at the engine's roots, run \p Concurrent (the interleaving of
+/// mutator and marker, which charges mutator steps to its \p Remaining
+/// argument), then the final pause with the oracle and sweep, and let the
+/// mutator finish with the barriers off.
+template <typename Engine, typename MarkerT, typename ConcurrentFn>
+ConcurrentRunResult runSingleMutatorCycle(Engine &I, MarkerT &M, Heap &H,
+                                          MethodId Entry,
+                                          const std::vector<int64_t> &IntArgs,
+                                          const ConcurrentRunConfig &Cfg,
+                                          ConcurrentFn &&Concurrent) {
   ConcurrentRunResult R;
   I.start(Entry, IntArgs);
   I.step(Cfg.WarmupSteps);
-
-  std::vector<ObjRef> Roots = I.collectRoots();
-  std::vector<bool> Snapshot = computeReachable(H, Roots);
-  for (bool B : Snapshot)
-    R.OracleLive += B;
-  M.beginMarking(Roots);
-
+  MarkingCycle<MarkerT> Cycle(M, H);
+  Cycle.begin(I.collectRoots());
   uint64_t Remaining = Cfg.StepLimit;
-  bool MarkerDone = false;
-  while (I.status() == RunStatus::Running && !MarkerDone && Remaining > 0) {
-    uint64_t Quantum = Cfg.MutatorQuantum < Remaining ? Cfg.MutatorQuantum
-                                                      : Remaining;
-    I.step(Quantum);
-    Remaining -= Quantum;
-    MarkerDone = M.markStep(Cfg.MarkerQuantum);
-  }
-  R.FinalPauseWork = M.finishMarking();
-
-  // The SATB oracle: the snapshot is entirely marked.
-  R.OracleHolds = true;
-  for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-    if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-      R.OracleHolds = false;
+  Concurrent(Cycle, Remaining);
+  R.FinalPauseWork = Cycle.finish([&] { return I.collectRoots(); });
+  R.OracleHolds = Cycle.OracleHolds;
+  R.OracleLive = Cycle.OracleLive;
   R.Marked = M.stats().MarkedObjects;
-  R.Swept = M.sweep();
-
-  // Let the mutator finish (barriers now inactive).
+  R.Swept = Cycle.sweep();
   if (I.status() == RunStatus::Running && Remaining > 0)
     I.step(Remaining);
   R.Status = I.status();
@@ -239,49 +284,38 @@ runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
   return R;
 }
 
-/// Incremental-update counterpart (end-of-marking reachability oracle).
+/// Runs \p Entry with a marking cycle of \p M (SatbMarker or
+/// IncrementalUpdateMarker) interleaved deterministically after
+/// WarmupSteps: MutatorQuantum engine steps, then MarkerQuantum marker
+/// work, until the marker runs dry. Templated over the engine so the
+/// reference Interpreter and the FastInterp run the same schedule (the
+/// equivalence test drives both).
+template <typename Engine, typename MarkerT>
+ConcurrentRunResult
+runWithConcurrentCycle(Engine &I, MarkerT &M, Heap &H, MethodId Entry,
+                       const std::vector<int64_t> &IntArgs,
+                       const ConcurrentRunConfig &Cfg) {
+  return runSingleMutatorCycle(
+      I, M, H, Entry, IntArgs, Cfg,
+      [&](MarkingCycle<MarkerT> &Cycle, uint64_t &Remaining) {
+        bool MarkerDone = false;
+        while (I.status() == RunStatus::Running && !MarkerDone &&
+               Remaining > 0) {
+          uint64_t Quantum = std::min(Cfg.MutatorQuantum, Remaining);
+          I.step(Quantum);
+          Remaining -= Quantum;
+          MarkerDone = Cycle.step(Cfg.MarkerQuantum);
+        }
+      });
+}
+
+/// runWithConcurrentCycle on the SATB marker.
 template <typename Engine>
 ConcurrentRunResult
-runWithConcurrentIncUpdate(Engine &I, IncrementalUpdateMarker &M, Heap &H,
-                           MethodId Entry,
-                           const std::vector<int64_t> &IntArgs,
-                           const ConcurrentRunConfig &Cfg) {
-  ConcurrentRunResult R;
-  I.start(Entry, IntArgs);
-  I.step(Cfg.WarmupSteps);
-
-  M.beginMarking(I.collectRoots());
-  uint64_t Remaining = Cfg.StepLimit;
-  bool MarkerDone = false;
-  while (I.status() == RunStatus::Running && !MarkerDone && Remaining > 0) {
-    uint64_t Quantum = Cfg.MutatorQuantum < Remaining ? Cfg.MutatorQuantum
-                                                      : Remaining;
-    I.step(Quantum);
-    Remaining -= Quantum;
-    MarkerDone = M.markStep(Cfg.MarkerQuantum);
-  }
-  std::vector<ObjRef> FinalRoots = I.collectRoots();
-  R.FinalPauseWork = M.finishMarking(FinalRoots);
-
-  // The incremental-update oracle: everything reachable at the final pause
-  // is marked.
-  std::vector<bool> LiveNow = computeReachable(H, FinalRoots);
-  R.OracleHolds = true;
-  for (ObjRef Ref = 1; Ref < LiveNow.size(); ++Ref) {
-    if (!LiveNow[Ref])
-      continue;
-    ++R.OracleLive;
-    if (!(H.isLive(Ref) && H.isMarked(Ref)))
-      R.OracleHolds = false;
-  }
-  R.Marked = M.stats().MarkedObjects;
-  R.Swept = M.sweep();
-
-  if (I.status() == RunStatus::Running && Remaining > 0)
-    I.step(Remaining);
-  R.Status = I.status();
-  R.Trap = I.trap();
-  return R;
+runWithConcurrentSatb(Engine &I, SatbMarker &M, Heap &H, MethodId Entry,
+                      const std::vector<int64_t> &IntArgs,
+                      const ConcurrentRunConfig &Cfg) {
+  return runWithConcurrentCycle(I, M, H, Entry, IntArgs, Cfg);
 }
 
 } // namespace satb

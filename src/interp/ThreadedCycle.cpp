@@ -20,66 +20,41 @@ ConcurrentRunResult
 satb::runWithThreadedSatb(Interpreter &I, SatbMarker &M, Heap &H,
                           MethodId Entry,
                           const std::vector<int64_t> &IntArgs,
-                          const ThreadedRunConfig &Cfg) {
-  ConcurrentRunResult R;
-  I.start(Entry, IntArgs);
-  I.step(Cfg.WarmupSteps);
-
-  std::vector<ObjRef> Roots = I.collectRoots();
-  std::vector<bool> Snapshot = computeReachable(H, Roots);
-  for (bool B : Snapshot)
-    R.OracleLive += B;
-  M.beginMarking(Roots);
-
-  std::mutex HeapLock;
-  std::atomic<bool> MarkerDone{false};
-  std::atomic<bool> MutatorStopped{false};
-
-  std::thread Marker([&] {
-    while (!MutatorStopped.load(std::memory_order_acquire)) {
-      bool Done;
+                          const ConcurrentRunConfig &Cfg) {
+  auto Concurrent = [&](MarkingCycle<SatbMarker> &Cycle,
+                        uint64_t &Remaining) {
+    std::mutex HeapLock;
+    std::atomic<bool> MarkerDone{false};
+    std::atomic<bool> MutatorStopped{false};
+    std::thread Marker([&] {
+      while (!MutatorStopped.load(std::memory_order_acquire)) {
+        bool Done;
+        {
+          std::lock_guard<std::mutex> Guard(HeapLock);
+          Done = Cycle.step(Cfg.MarkerQuantum);
+        }
+        if (Done)
+          break;
+        std::this_thread::yield();
+      }
+      MarkerDone.store(true, std::memory_order_release);
+    });
+    while (I.status() == RunStatus::Running && Remaining > 0 &&
+           !MarkerDone.load(std::memory_order_acquire)) {
+      uint64_t Quantum = std::min<uint64_t>(Cfg.MutatorQuantum, Remaining);
       {
         std::lock_guard<std::mutex> Guard(HeapLock);
-        Done = M.markStep(Cfg.MarkerQuantum);
+        I.step(Quantum);
       }
-      if (Done) {
-        MarkerDone.store(true, std::memory_order_release);
-        return;
-      }
+      Remaining -= Quantum;
       std::this_thread::yield();
     }
-    MarkerDone.store(true, std::memory_order_release);
-  });
-
-  uint64_t Remaining = Cfg.StepLimit;
-  while (I.status() == RunStatus::Running && Remaining > 0 &&
-         !MarkerDone.load(std::memory_order_acquire)) {
-    uint64_t Quantum = std::min<uint64_t>(Cfg.MutatorQuantum, Remaining);
-    {
-      std::lock_guard<std::mutex> Guard(HeapLock);
-      I.step(Quantum);
-    }
-    Remaining -= Quantum;
-    std::this_thread::yield();
-  }
-  MutatorStopped.store(true, std::memory_order_release);
-  Marker.join();
-
-  // The final pause: the marker thread has exited, the mutator is parked.
-  R.FinalPauseWork = M.finishMarking();
-
-  R.OracleHolds = true;
-  for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-    if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-      R.OracleHolds = false;
-  R.Marked = M.stats().MarkedObjects;
-  R.Swept = M.sweep();
-
-  if (I.status() == RunStatus::Running && Remaining > 0)
-    I.step(Remaining);
-  R.Status = I.status();
-  R.Trap = I.trap();
-  return R;
+    // The final pause follows once the marker thread has exited; the
+    // mutator stays parked until then.
+    MutatorStopped.store(true, std::memory_order_release);
+    Marker.join();
+  };
+  return runSingleMutatorCycle(I, M, H, Entry, IntArgs, Cfg, Concurrent);
 }
 
 // --- Multi-mutator driver ---------------------------------------------------
@@ -113,11 +88,12 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   Heap H(P);
   SatbMarker Satb(H, Cfg.SatbBufferCap);
   IncrementalUpdateMarker Inc(H);
+  MarkingCore &Marker = UseSatb ? static_cast<MarkingCore &>(Satb) : Inc;
   SafepointCoordinator SC;
   SafepointPauseStats PauseStats;
   SC.setPauseStats(&PauseStats);
-  // Pacer-driven cycle triggering; DebugTraceCounts pins the scripted
-  // single-cycle driver (the mark-once instrumentation is per-cycle).
+  // The trigger policy: the pacer's, unless DebugTraceCounts pins the
+  // scripted single cycle (the mark-once instrumentation is per-cycle).
   const bool UsePacer = Cfg.Pacer.Enabled && !Cfg.DebugTraceCounts;
   Pacer Pace(H, Cfg.Pacer);
 
@@ -126,13 +102,10 @@ MultiMutatorResult satb::runWithConcurrentMutators(
   std::unique_ptr<ThreadPool> MarkPool;
   if (Cfg.MarkThreads > 1) {
     MarkPool = std::make_unique<ThreadPool>(Cfg.MarkThreads);
-    Satb.setMarkThreads(Cfg.MarkThreads, MarkPool.get());
-    Inc.setMarkThreads(Cfg.MarkThreads, MarkPool.get());
+    Marker.setMarkThreads(Cfg.MarkThreads, MarkPool.get());
   }
-  if (Cfg.DebugTraceCounts) {
-    Satb.enableTraceCounts(Cfg.HeapCapacityRefs);
-    Inc.enableTraceCounts(Cfg.HeapCapacityRefs);
-  }
+  if (Cfg.DebugTraceCounts)
+    Marker.enableTraceCounts(Cfg.HeapCapacityRefs);
 
   H.enterMultiMutator(Cfg.HeapCapacityRefs);
 
@@ -147,8 +120,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     NC.NurseryBytes = Cfg.NurseryBytes;
     NC.PretenureBytes = Cfg.PretenureBytes;
     H.enableNursery(NC);
-    Gen.attachSatb(&Satb);
-    Gen.attachIncUpdate(&Inc);
+    Gen.attachMarker(&Marker);
     Gen.ensureCapacity(Cfg.HeapCapacityRefs);
     Gen.setRemSetValid(CP.Options.Barrier == BarrierMode::Generational);
   }
@@ -170,6 +142,16 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     Engines.push_back(std::move(E));
   }
 
+  // Every engine's frames: the root set of each stop-the-world operation.
+  auto AllRoots = [&] {
+    std::vector<ObjRef> Roots, Tmp;
+    for (auto &E : Engines) {
+      E->collectRoots(Tmp);
+      Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
+    }
+    return Roots;
+  };
+
   // Stop-the-world minor collection service: a mutator whose nursery
   // chunk refill failed raised the heap's request flag (and fell back to
   // old-space allocation, so it never blocks). Roots are every engine's
@@ -188,12 +170,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     SC.stopTheWorld([&] {
       if (!H.minorGCRequested())
         return; // raced with a collection already served
-      std::vector<ObjRef> Roots, Tmp;
-      for (auto &E : Engines) {
-        E->collectRoots(Tmp);
-        Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-      }
-      Gen.collect(Roots);
+      Gen.collect(AllRoots());
       for (auto &E : Engines) {
         E->context().invalidateNurseryTlab();
         // Young-speculating versions assumed "allocated after the last
@@ -272,204 +249,101 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     });
   }
 
-  if (!UsePacer) {
-    // --- Scripted driver: warmup, then exactly one marking cycle ----------
-
-    // Warmup: let the mutators build a heap before the cycle starts.
-    while (H.numAllocated() < Cfg.WarmupAllocs &&
-           SC.exitedCount() < Mutators) {
-      ServeMinorGC();
-      std::this_thread::yield();
-    }
-
-    // STW #1: snapshot roots across every mutator and start the cycle.
-    std::vector<bool> Snapshot;
-    SC.stopTheWorld([&] {
-      std::vector<ObjRef> Roots, Tmp;
-      for (auto &E : Engines) {
-        E->collectRoots(Tmp);
-        Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-      }
-      if (UseSatb) {
-        Snapshot = computeReachable(H, Roots);
-        for (bool B : Snapshot)
-          R.OracleLive += B;
-        Satb.beginMarking(Roots);
-      } else {
-        Inc.beginMarking(Roots);
-      }
-    });
-
-    // Concurrent marking on this (coordinator) thread while the mutators
-    // run. A few consecutive idle rounds mean the marker is waiting on
-    // mutator activity it may never get; proceed to the termination pause.
+  // The coordinator: one loop serves minor collections, runs concurrent
+  // marking quanta on this thread, and starts and finishes cycles with
+  // stop-the-world handshakes when the trigger policy says so. The
+  // scripted policy runs exactly one cycle, started once the mutators have
+  // allocated WarmupAllocs objects (or all exited); the pacer policy runs
+  // as many as allocation pressure asks for, each with its own per-cycle
+  // oracle (accumulated: one bad cycle fails the run). Three idle marking
+  // rounds in a row mean the marker waits on mutator activity it may
+  // never get, so the cycle's final pause follows. Mutators never wait on
+  // the policy; they stop only at the handshakes themselves.
+  auto Coordinate = [&](auto &Cycle) {
+    bool InCycle = false;
     size_t IdleStreak = 0;
-    while (IdleStreak < 3 && SC.exitedCount() < Mutators) {
-      ServeMinorGC();
-      bool Idle = UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                          : Inc.markStep(Cfg.MarkerQuantum);
-      if (Idle) {
-        ++IdleStreak;
-        std::this_thread::yield();
-      } else {
-        IdleStreak = 0;
-      }
-    }
-
-    // Final STW: flush every context, terminate marking, check the oracle
-    // and sweep — all inside the pause.
-    SC.stopTheWorld([&] {
-      for (auto &E : Engines)
-        E->context().flush();
-      if (UseSatb) {
-        R.FinalPauseWork = Satb.finishMarking();
-        R.OracleHolds = true;
-        for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-          if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-            R.OracleHolds = false;
-        R.Marked = Satb.stats().MarkedObjects;
-        R.Swept = Satb.sweep();
-      } else {
-        std::vector<ObjRef> Roots, Tmp;
-        for (auto &E : Engines) {
-          E->collectRoots(Tmp);
-          Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-        }
-        R.FinalPauseWork = Inc.finishMarking(Roots);
-        std::vector<bool> LiveNow = computeReachable(H, Roots);
-        R.OracleHolds = true;
-        for (ObjRef Ref = 1; Ref < LiveNow.size(); ++Ref) {
-          if (!LiveNow[Ref])
-            continue;
-          ++R.OracleLive;
-          if (!(H.isLive(Ref) && H.isMarked(Ref)))
-            R.OracleHolds = false;
-        }
-        R.Marked = Inc.stats().MarkedObjects;
-        R.Swept = Inc.sweep();
-      }
-      if (Cfg.DebugTraceCounts) {
-        R.TraceCounts.resize(H.maxRef() + 1, 0);
-        for (ObjRef Ref = 1; Ref <= H.maxRef(); ++Ref)
-          R.TraceCounts[Ref] =
-              UseSatb ? Satb.traceCount(Ref) : Inc.traceCount(Ref);
-        if (UseSatb)
-          R.SnapshotSet = Snapshot;
-      }
-    });
-    R.Cycles = 1;
-
-    // Marking is over, but the mutators keep running to completion; keep
-    // serving minor collections so the nursery stays usable for the tail.
-    if (Cfg.EnableNursery)
-      while (SC.exitedCount() < Mutators) {
-        ServeMinorGC();
-        std::this_thread::yield();
-      }
-  } else {
-    // --- Pacer-driven cycles: as many as allocation pressure asks for ----
-    //
-    // The coordinator polls the pacer between marking quanta: a trigger
-    // starts a cycle with the same snapshot handshake as the scripted
-    // driver; three idle marking rounds finish it with the same
-    // termination pause, including the per-cycle oracle (accumulated
-    // across cycles — one bad cycle fails the run). Mutators never wait
-    // on the pacer; they only stop at the handshakes themselves.
-    R.OracleHolds = true; // vacuously, when pressure never triggers
-    std::vector<bool> Snapshot;
-    size_t IdleStreak = 0;
-
+    auto ShouldStart = [&](bool AllExited) {
+      if (UsePacer)
+        return Pace.shouldStartCycle();
+      return R.Cycles == 0 &&
+             (AllExited || H.numAllocated() >= Cfg.WarmupAllocs);
+    };
+    // After the scripted cycle, a run without a nursery leaves the
+    // coordinator nothing to serve: it waits in the join instead.
+    auto NothingToServe = [&] {
+      return !UsePacer && R.Cycles == 1 && !Cfg.EnableNursery;
+    };
     auto BeginCycle = [&] {
-      SC.stopTheWorld([&] {
-        std::vector<ObjRef> Roots, Tmp;
-        for (auto &E : Engines) {
-          E->collectRoots(Tmp);
-          Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-        }
-        if (UseSatb) {
-          Snapshot = computeReachable(H, Roots);
-          for (bool B : Snapshot)
-            R.OracleLive += B;
-          Satb.beginMarking(Roots);
-        } else {
-          Inc.beginMarking(Roots);
-        }
-      });
-      Pace.noteCycleStart();
+      SC.stopTheWorld([&] { Cycle.begin(AllRoots()); });
+      if (UsePacer)
+        Pace.noteCycleStart();
+      InCycle = true;
       IdleStreak = 0;
     };
-
+    // The final pause: flush every context, terminate marking, check the
+    // oracle and sweep, all inside the pause.
     auto FinishCycle = [&] {
       SC.stopTheWorld([&] {
         for (auto &E : Engines)
           E->context().flush();
-        if (UseSatb) {
-          R.FinalPauseWork += Satb.finishMarking();
-          for (ObjRef Ref = 1; Ref < Snapshot.size(); ++Ref)
-            if (Snapshot[Ref] && !(H.isLive(Ref) && H.isMarked(Ref)))
-              R.OracleHolds = false;
-          R.Swept += Satb.sweep();
-        } else {
-          std::vector<ObjRef> Roots, Tmp;
-          for (auto &E : Engines) {
-            E->collectRoots(Tmp);
-            Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-          }
-          R.FinalPauseWork += Inc.finishMarking(Roots);
-          std::vector<bool> LiveNow = computeReachable(H, Roots);
-          for (ObjRef Ref = 1; Ref < LiveNow.size(); ++Ref) {
-            if (!LiveNow[Ref])
-              continue;
-            ++R.OracleLive;
-            if (!(H.isLive(Ref) && H.isMarked(Ref)))
-              R.OracleHolds = false;
-          }
-          R.Swept += Inc.sweep();
+        R.FinalPauseWork += Cycle.finish(AllRoots);
+        R.Swept += Cycle.sweep();
+        if (Cfg.DebugTraceCounts) {
+          R.TraceCounts.resize(H.maxRef() + 1, 0);
+          for (ObjRef Ref = 1; Ref <= H.maxRef(); ++Ref)
+            R.TraceCounts[Ref] = Cycle.marker().traceCount(Ref);
+          R.SnapshotSet = Cycle.Snapshot;
         }
       });
-      Pace.noteCycleEnd();
+      if (UsePacer)
+        Pace.noteCycleEnd();
+      InCycle = false;
       ++R.Cycles;
     };
 
-    while (SC.exitedCount() < Mutators) {
+    while (SC.exitedCount() < Mutators && !NothingToServe()) {
       ServeMinorGC();
-      if (Pace.inCycle()) {
-        bool Idle = UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                            : Inc.markStep(Cfg.MarkerQuantum);
-        if (Idle) {
-          if (++IdleStreak >= 3)
-            FinishCycle();
-          else
-            std::this_thread::yield();
-        } else {
+      if (InCycle) {
+        if (!Cycle.step(Cfg.MarkerQuantum))
           IdleStreak = 0;
-        }
-      } else if (Pace.shouldStartCycle()) {
+        else if (++IdleStreak >= 3)
+          FinishCycle();
+        else
+          std::this_thread::yield();
+      } else if (ShouldStart(/*AllExited=*/false)) {
         BeginCycle();
       } else {
         std::this_thread::yield();
       }
     }
-    // Every mutator exited: terminate an in-flight cycle against the
-    // quiesced heap, then drain work that accrued too late to be
-    // scheduled while the mutators ran — on a busy (or single-CPU) host
-    // a short run can finish inside one scheduler slice, before the
-    // coordinator's first poll. Outstanding allocation pressure still
-    // owes a collection; a raised minor-GC request still owes a nursery
-    // sweep. Both run exactly as they would have mid-run, so the
-    // "pressure implies a cycle" contract holds on any host.
+    // Every mutator exited (or the scripted cycle is done and nothing is
+    // left to serve): terminate an in-flight cycle against the quiesced
+    // heap, or run a cycle the policy still owes — on a busy
+    // (or single-CPU) host a short run can finish inside one scheduler
+    // slice, before the coordinator's first poll. Outstanding allocation
+    // pressure (pacer) or a never-started scripted cycle still owes a
+    // collection; a raised minor-GC request still owes a nursery sweep.
+    // Both run exactly as they would have mid-run, so "the policy's
+    // cycles happen" holds on any host.
     ServeMinorGC();
-    if (Pace.inCycle()) {
+    if (InCycle) {
       FinishCycle();
-    } else if (Pace.shouldStartCycle()) {
+    } else if (ShouldStart(/*AllExited=*/true)) {
       BeginCycle();
-      while (!(UseSatb ? Satb.markStep(Cfg.MarkerQuantum)
-                       : Inc.markStep(Cfg.MarkerQuantum)))
+      while (!Cycle.step(Cfg.MarkerQuantum))
         ;
       FinishCycle();
     }
-    R.Marked =
-        UseSatb ? Satb.stats().MarkedObjects : Inc.stats().MarkedObjects;
+    R.OracleHolds = Cycle.OracleHolds;
+    R.OracleLive = Cycle.OracleLive;
+    R.Marked = Cycle.marker().stats().MarkedObjects;
+  };
+  if (UseSatb) {
+    MarkingCycle<SatbMarker> Cycle(Satb, H);
+    Coordinate(Cycle);
+  } else {
+    MarkingCycle<IncrementalUpdateMarker> Cycle(Inc, H);
+    Coordinate(Cycle);
   }
 
   for (std::thread &T : Threads)
@@ -505,12 +379,7 @@ MultiMutatorResult satb::runWithConcurrentMutators(
     // joined; the markers are idle, so survivors promote precisely when
     // the remembered set is valid) — no young object may outlive the
     // nursery buffer.
-    std::vector<ObjRef> Roots, Tmp;
-    for (auto &E : Engines) {
-      E->collectRoots(Tmp);
-      Roots.insert(Roots.end(), Tmp.begin(), Tmp.end());
-    }
-    Gen.collect(Roots);
+    Gen.collect(AllRoots());
     H.disableNursery();
   }
   R.Minor = Gen.stats();

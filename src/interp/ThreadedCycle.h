@@ -3,23 +3,27 @@
 /// \file
 /// Concurrent cycles on real OS threads, the setting the paper targets
 /// ("garbage collection and the user program execute simultaneously",
-/// Section 1). Two drivers:
+/// Section 1). Both drivers run their cycles through the MarkingCycle
+/// adapter (interp/Interpreter.h), so begin, finish and the oracle are the
+/// deterministic driver's:
 ///
 ///  - runWithThreadedSatb: one mutator, the marker on its own thread,
-///    synchronized by a coarse per-quantum mutex. Kept as the simplest
-///    real-thread configuration and as a bridge to the deterministic
-///    interleaved driver in Interpreter.h (still the primary test vehicle
-///    because its schedules are reproducible).
+///    synchronized by a coarse per-quantum mutex. The simplest real-thread
+///    configuration, and the only one that runs the Section 4.3
+///    rearrangement protocol against a marker on another thread.
 ///
 ///  - runWithConcurrentMutators: N FastInterp mutators against one heap
-///    with one marking cycle (SATB or incremental update) and *no* coarse
-///    lock. Each mutator runs through its MutatorContext (TLAB
-///    allocation, private SATB buffer, per-thread BarrierStats shard) and
-///    polls a safepoint flag at translated poll sites; the coordinator
-///    uses real stop-the-world handshakes (SafepointCoordinator) for the
-///    marking edges, drains hand-over buffers concurrently in between,
-///    and evaluates the marker's oracle inside the final pause. See
-///    DESIGN.md "Multi-mutator runtime" for the memory-model contract.
+///    (SATB or incremental update) and *no* coarse lock. Each mutator runs
+///    through its MutatorContext (TLAB allocation, private SATB buffer,
+///    per-thread BarrierStats shard) and polls a safepoint flag at
+///    translated poll sites. One coordinator loop serves minor
+///    collections, drains hand-over buffers concurrently, and starts and
+///    finishes cycles with real stop-the-world handshakes
+///    (SafepointCoordinator) as its trigger policy says: the scripted
+///    policy runs one cycle after a warmup, the pacer policy as many as
+///    allocation pressure asks for. The oracle is evaluated inside each
+///    final pause. See DESIGN.md "Multi-mutator runtime" for the
+///    memory-model contract.
 ///
 /// The Section 4.3 array-rearrangement protocol is single-mutator-only
 /// (its active-set bookkeeping assumes one bracketing thread) and must be
@@ -40,20 +44,13 @@
 
 namespace satb {
 
-struct ThreadedRunConfig {
-  uint64_t WarmupSteps = 1000;
-  uint64_t MutatorQuantum = 128; ///< interpreter steps per lock hold
-  size_t MarkerQuantum = 32;     ///< marker work units per lock hold
-  uint64_t StepLimit = 200'000'000;
-};
-
-/// Like runWithConcurrentSatb, but the marker runs on its own thread.
-/// The snapshot oracle is evaluated at the final pause exactly as in the
-/// deterministic driver.
+/// Like runWithConcurrentSatb, but the marker runs on its own thread; the
+/// quanta size each hold of the coarse lock. The snapshot oracle is
+/// evaluated at the final pause exactly as in the deterministic driver.
 ConcurrentRunResult runWithThreadedSatb(Interpreter &I, SatbMarker &M,
                                         Heap &H, MethodId Entry,
                                         const std::vector<int64_t> &IntArgs,
-                                        const ThreadedRunConfig &Cfg);
+                                        const ConcurrentRunConfig &Cfg);
 
 // --- Multi-mutator driver ---------------------------------------------------
 
@@ -109,13 +106,14 @@ struct MultiMutatorConfig {
   /// without touching test code.
   TieredOptions Tiered;
   /// Allocation-pressure pacing (gc/Pacer.h): when Pacer.Enabled the
-  /// coordinator replaces the scripted warmup + single-cycle sequence
-  /// with pacer-triggered cycles — as many as allocation pressure asks
-  /// for, each with its own begin/finish handshakes and per-cycle
-  /// oracle — and serves proactive nursery-fill minor collections.
-  /// Defaults from the SATB_PACER* environment. DebugTraceCounts forces
-  /// the scripted driver: the mark-once instrumentation accumulates
-  /// across cycles and is only meaningful for exactly one.
+  /// coordinator loop triggers cycles by the pacer policy instead of the
+  /// scripted one (one cycle after WarmupAllocs) — as many cycles as
+  /// allocation pressure asks for, each with its own begin/finish
+  /// handshakes and per-cycle oracle — and serves proactive nursery-fill
+  /// minor collections. Defaults from the SATB_PACER* environment.
+  /// DebugTraceCounts forces the scripted policy: the mark-once
+  /// instrumentation accumulates across cycles and is only meaningful for
+  /// exactly one.
   PacerConfig Pacer;
   /// Server mode: when nonzero, every mutator invokes Entry this many
   /// times (one request per invocation; heap and static state persist
@@ -155,7 +153,7 @@ struct MultiMutatorResult {
   std::vector<bool> SnapshotSet;
   /// Minor-collection totals for the run (zero unless Cfg.EnableNursery).
   MinorGCStats Minor;
-  /// Marking cycles completed: 1 for the scripted driver, pacer-driven
+  /// Marking cycles completed: 1 under the scripted policy, pacer-driven
   /// otherwise (0 when pressure never reached the trigger).
   uint64_t Cycles = 0;
   PacerStats Pacing; ///< pacer trigger counters (pacer mode only)

@@ -218,3 +218,107 @@ TEST(Determinism, DeterministicConcurrentCycles) {
   EXPECT_EQ(R[0].FinalPauseWork, R[1].FinalPauseWork);
   EXPECT_EQ(R[0].Swept, R[1].Swept);
 }
+
+// --- Golden cycle fingerprints ----------------------------------------------
+
+namespace {
+
+enum class CycleKind { Satb, SatbRearrange, IncUpdate };
+
+/// One deterministic concurrent cycle of \p W under \p K, reduced to the
+/// driver's result (Marked, Swept, FinalPauseWork, OracleLive) followed by
+/// the marker's own counters: SATB's LoggedPreValues, ConcurrentWork,
+/// RearrangesEntered, RearrangesClean and RearrangeRetraces, or
+/// incremental update's CardsDirtied, ConcurrentWork and FinalPausePasses.
+std::vector<uint64_t> cycleFingerprint(const Workload &W, CycleKind K) {
+  CompilerOptions Opts;
+  Opts.EnableArrayRearrange = K == CycleKind::SatbRearrange;
+  if (K == CycleKind::IncUpdate) {
+    // bench/satb_vs_incupdate_pause's incremental-update configuration.
+    Opts.Barrier = BarrierMode::CardMarking;
+    Opts.ApplyElision = false;
+  }
+  CompiledProgram CP = compileProgram(*W.P, Opts);
+  Heap H(*W.P);
+  Interpreter I(*W.P, CP, H);
+  ConcurrentRunConfig RC;
+  RC.WarmupSteps = 50000;
+  RC.MutatorQuantum = 256;
+  RC.MarkerQuantum = 4;
+  const std::vector<int64_t> Args = {3000};
+  auto Common = [&](const ConcurrentRunResult &R) {
+    EXPECT_TRUE(R.OracleHolds) << W.Name;
+    EXPECT_EQ(R.Status, RunStatus::Finished) << W.Name;
+    return std::vector<uint64_t>{R.Marked, R.Swept, R.FinalPauseWork,
+                                 R.OracleLive};
+  };
+  if (K == CycleKind::IncUpdate) {
+    IncrementalUpdateMarker M(H);
+    I.attachIncUpdate(&M);
+    std::vector<uint64_t> F = Common(
+        runWithConcurrentCycle(I, M, H, W.Entry, Args, RC));
+    const IncUpdateStats &S = M.stats();
+    F.insert(F.end(), {S.CardsDirtied, S.ConcurrentWork, S.FinalPausePasses});
+    return F;
+  }
+  SatbMarker M(H);
+  I.attachSatb(&M);
+  std::vector<uint64_t> F =
+      Common(runWithConcurrentSatb(I, M, H, W.Entry, Args, RC));
+  const SatbStats &S = M.stats();
+  F.insert(F.end(), {S.LoggedPreValues, S.ConcurrentWork, S.RearrangesEntered,
+                     S.RearrangesClean, S.RearrangeRetraces});
+  return F;
+}
+
+} // namespace
+
+// Golden fingerprints of one deterministic concurrent cycle per Table 1
+// workload and collector, in cycleFingerprint's order. The interleaved
+// driver is a pure function of (program, config), so a change to the
+// marking code or the cycle drivers that means to keep behaviour must
+// leave every value unchanged.
+TEST(Determinism, CycleFingerprintsTable1) {
+  struct Golden {
+    const char *Name;
+    std::vector<uint64_t> Satb, SatbRearrange, IncUpdate;
+  };
+  const Golden Table[] = {
+      {"jess",
+       {599, 110, 1, 599, 1013, 1192, 0, 0, 0},
+       {599, 110, 1, 599, 1013, 1192, 0, 0, 0},
+       {15053, 2948, 23642, 15007, 118167, 24833, 3}},
+      {"db",
+       {259, 226, 1, 259, 588, 512, 0, 0, 0},
+       {259, 222, 2, 259, 310, 511, 274, 273, 1},
+       {282, 436, 26, 142, 2205, 12129, 2}},
+      {"javac",
+       {201, 337, 1, 201, 969, 398, 0, 0, 0},
+       {201, 337, 1, 201, 969, 398, 0, 0, 0},
+       {9246, 506, 9793, 240, 90698, 100486, 3}},
+      {"mtrt",
+       {852, 404, 1, 852, 534, 1696, 0, 0, 0},
+       {852, 404, 1, 852, 534, 1696, 0, 0, 0},
+       {15324, 8677, 35545, 15065, 105203, 18451, 3}},
+      {"jack",
+       {215, 923, 1, 215, 1381, 431, 0, 0, 0},
+       {215, 923, 1, 215, 1381, 431, 0, 0, 0},
+       {4868, 1133, 11491, 228, 26751, 3346, 2}},
+      {"jbb",
+       {500, 0, 1, 500, 3786, 1008, 0, 0, 0},
+       {498, 0, 2, 498, 3155, 1002, 106, 105, 1},
+       {3004, 0, 4791, 3004, 25455, 3959, 3}},
+  };
+  std::vector<Workload> All = allWorkloads();
+  ASSERT_EQ(All.size(), std::size(Table));
+  for (size_t I = 0; I != All.size(); ++I) {
+    const Workload &W = All[I];
+    ASSERT_EQ(W.Name, Table[I].Name);
+    EXPECT_EQ(cycleFingerprint(W, CycleKind::Satb), Table[I].Satb) << W.Name;
+    EXPECT_EQ(cycleFingerprint(W, CycleKind::SatbRearrange),
+              Table[I].SatbRearrange)
+        << W.Name;
+    EXPECT_EQ(cycleFingerprint(W, CycleKind::IncUpdate), Table[I].IncUpdate)
+        << W.Name;
+  }
+}

@@ -114,7 +114,7 @@ TEST_P(SatbOracleProperty, IncrementalUpdateOracle) {
   RC.MutatorQuantum = Cfg.MutQ;
   RC.MarkerQuantum = Cfg.MarkQ;
   ConcurrentRunResult R =
-      runWithConcurrentIncUpdate(I, M, H, G.Entry, {300}, RC);
+      runWithConcurrentCycle(I, M, H, G.Entry, {300}, RC);
   EXPECT_TRUE(R.OracleHolds) << "IU oracle violated, seed " << Cfg.Seed;
   EXPECT_NE(R.Status, RunStatus::Trapped) << trapName(R.Trap);
 }
@@ -138,7 +138,7 @@ TEST_P(SatbOracleProperty, GenerationalNurserySnapshotPreserved) {
   H.enableNursery(NC);
   SatbMarker M(H);
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(true);
   Interpreter I(*G.P, CP, H);
   I.attachSatb(&M);
@@ -178,7 +178,7 @@ TEST_P(SatbOracleProperty, IncrementalUpdateOracleWithNursery) {
   H.enableNursery(NC);
   IncrementalUpdateMarker M(H);
   MinorGC Gen(H);
-  Gen.attachIncUpdate(&M); // RemSetValid stays false: wholesale only
+  Gen.attachMarker(&M); // RemSetValid stays false: wholesale only
   Interpreter I(*G.P, CP, H);
   I.attachIncUpdate(&M);
   installNurseryHook(H, Gen, I);
@@ -187,7 +187,7 @@ TEST_P(SatbOracleProperty, IncrementalUpdateOracleWithNursery) {
   RC.MutatorQuantum = Cfg.MutQ;
   RC.MarkerQuantum = Cfg.MarkQ;
   ConcurrentRunResult R =
-      runWithConcurrentIncUpdate(I, M, H, G.Entry, {300}, RC);
+      runWithConcurrentCycle(I, M, H, G.Entry, {300}, RC);
   EXPECT_TRUE(R.OracleHolds) << "IU+nursery oracle violated, seed "
                              << Cfg.Seed;
   EXPECT_NE(R.Status, RunStatus::Trapped) << trapName(R.Trap);
@@ -246,7 +246,7 @@ TEST_P(WorkloadGc, SatbFinalPauseSmallerThanIncUpdate) {
     IncrementalUpdateMarker M(H);
     Interpreter I(*W.P, CP, H);
     I.attachIncUpdate(&M);
-    IncPause = runWithConcurrentIncUpdate(I, M, H, W.Entry, {400}, RC)
+    IncPause = runWithConcurrentCycle(I, M, H, W.Entry, {400}, RC)
                    .FinalPauseWork;
   }
   // Not asserting the paper's "order of magnitude" here (scale-dependent);
@@ -272,7 +272,7 @@ TEST(WorkloadGc, GenerationalCycleCollectsAndPromotes) {
   H.enableNursery(NC);
   SatbMarker M(H);
   MinorGC Gen(H);
-  Gen.attachSatb(&M);
+  Gen.attachMarker(&M);
   Gen.setRemSetValid(true);
   Interpreter I(*W.P, CP, H);
   I.attachSatb(&M);

@@ -221,8 +221,7 @@ void runBothWithNursery(const Program &P, const CompilerOptions &Opts,
     I.attachSatb(&SM);
     I.attachIncUpdate(&IM);
     MinorGC Gen(H);
-    Gen.attachSatb(&SM);
-    Gen.attachIncUpdate(&IM);
+    Gen.attachMarker(&SM); // run() starts no cycle: neither marker is active
     Gen.setRemSetValid(GenMode);
     I.attachGen(&Gen);
     installNurseryHook(H, Gen, I);
@@ -242,8 +241,7 @@ void runBothWithNursery(const Program &P, const CompilerOptions &Opts,
     I.attachSatb(&SM);
     I.attachIncUpdate(&IM);
     MinorGC Gen(H);
-    Gen.attachSatb(&SM);
-    Gen.attachIncUpdate(&IM);
+    Gen.attachMarker(&SM); // run() starts no cycle: neither marker is active
     Gen.setRemSetValid(GenMode);
     I.attachGen(&Gen);
     installNurseryHook(H, Gen, I);
@@ -473,7 +471,7 @@ TEST(MutatorEquivalence, ConcurrentIncUpdateCycle) {
       Interpreter I(*W.P, CP, H);
       IncrementalUpdateMarker M(H);
       I.attachIncUpdate(&M);
-      Ref = runWithConcurrentIncUpdate(I, M, H, W.Entry, {200}, Cfg);
+      Ref = runWithConcurrentCycle(I, M, H, W.Entry, {200}, Cfg);
       RefO = observe(I, H);
     }
     for (bool Fuse : {true, false}) {
@@ -484,7 +482,7 @@ TEST(MutatorEquivalence, ConcurrentIncUpdateCycle) {
       FastInterp I(FP, CP, H);
       IncrementalUpdateMarker M(H);
       I.attachIncUpdate(&M);
-      Fast = runWithConcurrentIncUpdate(I, M, H, W.Entry, {200}, Cfg);
+      Fast = runWithConcurrentCycle(I, M, H, W.Entry, {200}, Cfg);
       FastO = observe(I, H);
       std::string What = W.Name + (Fuse ? "/fused" : "/unfused");
       expectConcurrentEqual(Ref, Fast, What);

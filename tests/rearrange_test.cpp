@@ -266,7 +266,7 @@ TEST(Rearrange, CardMarkingIgnoresProtocol) {
   ConcurrentRunConfig RC;
   RC.WarmupSteps = 500;
   ConcurrentRunResult R =
-      runWithConcurrentIncUpdate(I, M, H, W.Main, {120}, RC);
+      runWithConcurrentCycle(I, M, H, W.Main, {120}, RC);
   EXPECT_TRUE(R.OracleHolds);
 }
 

@@ -12,7 +12,6 @@
 #include "TestUtil.h"
 
 #include "bytecode/MethodBuilder.h"
-#include "gc/ParallelMark.h"
 #include "interp/FastInterp.h"
 #include "interp/ThreadedCycle.h"
 #include "jit/FastCode.h"
@@ -31,9 +30,18 @@ using namespace satb::testutil;
 
 namespace {
 
+/// The real-thread driver's quanta in these tests: 128 mutator steps and
+/// 32 marker units per hold of the coarse lock.
+ConcurrentRunConfig threadedConfig() {
+  ConcurrentRunConfig Cfg;
+  Cfg.MutatorQuantum = 128;
+  Cfg.MarkerQuantum = 32;
+  return Cfg;
+}
+
 ConcurrentRunResult runThreaded(const Program &P, MethodId Entry,
                                 int64_t Scale, const CompilerOptions &Opts,
-                                ThreadedRunConfig Cfg = {}) {
+                                ConcurrentRunConfig Cfg = threadedConfig()) {
   CompiledProgram CP = compileProgram(P, Opts);
   Heap H(P);
   SatbMarker M(H);
@@ -48,7 +56,7 @@ class ThreadedWorkload : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ThreadedWorkload, SnapshotOracleHolds) {
   Workload W = allWorkloads()[GetParam()];
-  ThreadedRunConfig Cfg;
+  ConcurrentRunConfig Cfg = threadedConfig();
   Cfg.WarmupSteps = 5000;
   ConcurrentRunResult R =
       runThreaded(*W.P, W.Entry, 600, CompilerOptions{}, Cfg);
@@ -63,7 +71,7 @@ INSTANTIATE_TEST_SUITE_P(AllSix, ThreadedWorkload,
 TEST(ThreadedGc, TinyQuantaStress) {
   // Fine-grained handshakes maximize genuine interleaving.
   Workload W = makeJbbLike();
-  ThreadedRunConfig Cfg;
+  ConcurrentRunConfig Cfg = threadedConfig();
   Cfg.WarmupSteps = 2000;
   Cfg.MutatorQuantum = 8;
   Cfg.MarkerQuantum = 2;
@@ -76,7 +84,7 @@ TEST(ThreadedGc, TinyQuantaStress) {
 TEST(ThreadedGc, RandomProgramsUnderThreadedMarking) {
   for (uint32_t Seed = 300; Seed != 306; ++Seed) {
     GeneratedProgram G = RandomProgramGenerator(Seed).generate();
-    ThreadedRunConfig Cfg;
+    ConcurrentRunConfig Cfg = threadedConfig();
     Cfg.WarmupSteps = 500;
     Cfg.MutatorQuantum = 16;
     Cfg.MarkerQuantum = 4;
@@ -91,7 +99,7 @@ TEST(ThreadedGc, RearrangeProtocolUnderThreadedMarking) {
   Workload W = makeJbbLike();
   CompilerOptions Opts;
   Opts.EnableArrayRearrange = true;
-  ThreadedRunConfig Cfg;
+  ConcurrentRunConfig Cfg = threadedConfig();
   Cfg.WarmupSteps = 3000;
   Cfg.MutatorQuantum = 32;
   Cfg.MarkerQuantum = 4;
@@ -104,7 +112,7 @@ TEST(ThreadedGc, MarkerFinishingEarlyIsFine) {
   // A tiny program: the marker drains almost immediately; the cycle must
   // still terminate cleanly and the oracle hold.
   Workload W = makeDbLike();
-  ThreadedRunConfig Cfg;
+  ConcurrentRunConfig Cfg = threadedConfig();
   Cfg.WarmupSteps = 100;
   Cfg.MarkerQuantum = 4096;
   ConcurrentRunResult R =
@@ -193,6 +201,25 @@ INSTANTIATE_TEST_SUITE_P(
                                          MultiMarkerKind::IncrementalUpdate),
                        ::testing::ValuesIn(markThreadGrid()),
                        /*superinstruction fusion*/ ::testing::Bool()));
+
+TEST(MultiMutator, ScriptedCycleRunsWhenMutatorsExitBeforeWarmup) {
+  // A warmup threshold far above what the program allocates: every
+  // mutator exits first, and the scripted policy's one cycle runs after
+  // the last exit against the quiesced heap. The pacer is pinned off so
+  // the SATB_PACER environment cannot swap the policy.
+  for (MultiMarkerKind Kind :
+       {MultiMarkerKind::Satb, MultiMarkerKind::IncrementalUpdate}) {
+    MultiMutatorConfig Cfg;
+    Cfg.Pacer.Enabled = false;
+    Cfg.WarmupAllocs = uint64_t(1) << 40;
+    MultiMutatorResult R = runMulti(2, Kind, 200, Cfg);
+    const char *What =
+        Kind == MultiMarkerKind::Satb ? "SATB" : "incremental-update";
+    expectClean(R, What);
+    EXPECT_EQ(R.Cycles, 1u) << What;
+    EXPECT_GT(R.Marked, 0u) << What;
+  }
+}
 
 TEST(MultiMutator, TinyPollQuantaStress) {
   // One-step quanta make the driver check for a pending pause and resume
