@@ -397,7 +397,7 @@ size_t Heap::sweepUnmarked() {
 
 std::vector<bool> satb::computeReachable(const Heap &H,
                                          const std::vector<ObjRef> &Roots) {
-  std::vector<bool> Reached(H.maxRef() + 1, false);
+  std::vector<bool> Reached(H.refHighWater(), false);
   std::vector<ObjRef> Work;
   auto Visit = [&](ObjRef R) {
     if (R != NullRef && !Reached[R]) {

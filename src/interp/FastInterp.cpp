@@ -20,6 +20,18 @@
 
 #include "interp/FastInterp.h"
 
+#include <cstring>
+#include <new>
+#include <type_traits>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SATB_POISON_ARENA 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SATB_POISON_ARENA 1
+#endif
+#endif
+
 using namespace satb;
 
 namespace {
@@ -48,10 +60,24 @@ FastInterp::FastInterp(MethodVersionTable &VT, const CompiledProgram &CP,
     ForceDeoptEvery = VT.options().ForceDeoptEvery;
 }
 
+static_assert(std::is_trivially_destructible_v<Slot>,
+              "the frame arena frees its storage without destroying slots");
+
 void FastInterp::start(MethodId Entry, const std::vector<int64_t> &IntArgs) {
+  // Frames are all dead here, so a too-small arena can be replaced. The
+  // new storage is left uninitialised (see the Arena member).
   size_t Need = static_cast<size_t>(MaxCallDepth) * VT->maxFrameSlots();
-  if (Arena.size() < Need)
-    Arena.resize(Need);
+  if (ArenaSlots < Need) {
+    Arena.reset(static_cast<Slot *>(::operator new(Need * sizeof(Slot))));
+    ArenaSlots = Need;
+#ifdef SATB_POISON_ARENA
+    // A slot read before it is written now yields a wild ObjRef (an
+    // out-of-range table or bitmap index the sanitizer or Heap::object's
+    // assert reports) or a wrong int (failing the equivalence suites)
+    // instead of a benign zero.
+    std::memset(static_cast<void *>(Arena.get()), 0xA5, Need * sizeof(Slot));
+#endif
+  }
   Frames.clear();
   Frames.reserve(MaxCallDepth); // push_back never moves live frames
   Status = RunStatus::Running;
@@ -65,7 +91,7 @@ void FastInterp::start(MethodId Entry, const std::vector<int64_t> &IntArgs) {
   Frame F;
   F.FM = &FM;
   F.IP = FM.Code.data();
-  F.Base = Arena.data();
+  F.Base = Arena.get();
   for (uint32_t L = 0; L != FM.NumLocals; ++L)
     F.Base[L] = Slot();
   for (uint32_t A = 0; A != FM.NumArgs; ++A)
@@ -1192,6 +1218,9 @@ DispatchTop:
     Cur.IP = IP + 1;
     Cur.SP = SP;
     Slot *NewBase = Cur.Base + Cur.FM->FrameSlots;
+    // The arena is uninitialised and reused across runs: every local is
+    // written here before the callee can read it (args copied, the rest
+    // nulled), and its operand stack starts empty.
     for (uint32_t A = 0; A != NumArgs; ++A)
       NewBase[A] = SP[A];
     for (uint32_t L = NumArgs; L != Callee.NumLocals; ++L)

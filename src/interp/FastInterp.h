@@ -151,7 +151,21 @@ private:
   MinorGC *Gen = nullptr;
   MutatorContext Ctx;
 
-  std::vector<Slot> Arena; ///< MaxCallDepth * MaxFrameSlots, never resized
+  /// Frees the arena's raw storage (it holds no constructed objects to
+  /// destroy: Slot is trivially destructible).
+  struct ArenaDelete {
+    void operator()(Slot *S) const { ::operator delete(S); }
+  };
+  /// The frame arena: MaxCallDepth * maxFrameSlots() slots, allocated
+  /// uninitialised once per engine and never resized while frames are
+  /// live. That is sound because no frame reads a slot it has not written:
+  /// start() and the Invoke handler initialise a frame's locals on entry,
+  /// operand-stack slots are written by a push before any pop reads them,
+  /// and collectRoots walks only [Base, SP). A fresh start() therefore
+  /// costs what the run touches, not a fill of the worst-case arena.
+  /// Sanitizer builds poison a new arena so a read before a write shows.
+  std::unique_ptr<Slot[], ArenaDelete> Arena;
+  size_t ArenaSlots = 0;
   std::vector<Frame> Frames;
   RunStatus Status = RunStatus::NotStarted;
   TrapKind Trap = TrapKind::None;

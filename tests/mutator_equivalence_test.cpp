@@ -569,3 +569,144 @@ TEST(MutatorEquivalence, OddStepQuantaMatchSingleRun) {
       expectEqual(UnfusedWhole, Whole, "fused vs unfused whole run");
   }
 }
+
+// --- Arena reuse: a later run must not see an earlier run's slots ------------
+
+namespace {
+
+/// down(n, acc) { k = 3n + 1; o = new Node; o.val = k; o.next = acc;
+///                if (n == 0) return o; r = down(n - 1, o); return r; }
+/// main(n) { r = down(n, null); return r.val; }
+/// Every frame holds a fresh ref in its locals and on its operand stack,
+/// so a deep run leaves the arena full of refs to objects a later, shallow
+/// run cannot reach.
+struct ChainProgram {
+  Program P;
+  FieldId Next, Val;
+  MethodId Down, Main;
+
+  ChainProgram() {
+    ClassId Node = P.addClass("Node");
+    Next = P.addField(Node, "next", JType::Ref);
+    Val = P.addField(Node, "val", JType::Int);
+    Down = P.numMethods();
+    MethodBuilder D(P, "down", {JType::Int, JType::Ref}, JType::Ref);
+    Local O = D.newLocal(JType::Ref), R = D.newLocal(JType::Ref);
+    Local K = D.newLocal(JType::Int);
+    Label Recurse = D.newLabel();
+    D.iload(D.arg(0)).iconst(3).imul().iconst(1).iadd().istore(K);
+    D.newInstance(Node).astore(O);
+    D.aload(O).iload(K).putfield(Val);
+    D.aload(O).aload(D.arg(1)).putfield(Next);
+    D.iload(D.arg(0)).ifne(Recurse);
+    D.aload(O).areturn();
+    D.bind(Recurse).iload(D.arg(0)).iconst(1).isub().aload(O).invoke(Down);
+    D.astore(R).aload(R).areturn();
+    EXPECT_EQ(D.finish(), Down);
+    MethodBuilder M(P, "main", {JType::Int}, JType::Int);
+    Local MR = M.newLocal(JType::Ref);
+    M.iload(M.arg(0)).aconstNull().invoke(Down).astore(MR);
+    M.aload(MR).getfield(Val).ireturn();
+    Main = M.finish();
+  }
+};
+
+/// One run on a reused engine; the engine is observed after every
+/// \p Quantum steps, so frames are inspected while live.
+struct Leg {
+  int64_t N;
+  uint64_t Quantum;
+};
+
+template <typename Engine>
+std::vector<Observed> runLegs(Engine &I, const Heap &H, MethodId Entry,
+                              const std::vector<Leg> &Legs) {
+  std::vector<Observed> Out;
+  for (const Leg &L : Legs) {
+    I.start(Entry, {L.N});
+    do {
+      I.step(L.Quantum);
+      Out.push_back(observe(I, H));
+    } while (I.status() == RunStatus::Running);
+  }
+  return Out;
+}
+
+/// Drops the counters a speculative tier legitimately changes (see
+/// tests/tiered_test.cpp), keeping everything semantic.
+Observed withoutTierBookkeeping(Observed O) {
+  O.BarrierCost = 0;
+  for (SiteStats &S : O.Sites)
+    S.Elided = S.RemSetElided = S.YoungSeen = S.SpecElided = S.Deopts = 0;
+  return O;
+}
+
+} // namespace
+
+TEST(MutatorEquivalence, ReusedEngineSeesStaleArena) {
+  // A stack overflow fills all MaxCallDepth frames, a deep finishing run
+  // leaves refs in most of them, and the shallow runs then reuse those
+  // slots, observed at every step (every root the engine reports).
+  const std::vector<Leg> Legs = {
+      {100000, 2'000'000'000}, {1000, 2'000'000'000}, {3, 1}, {0, 1}, {5, 2}};
+  ChainProgram G;
+  CompilerOptions Opts;
+  Opts.Inline.InlineLimit = 0; // keep every activation a real frame
+  // Elision off so every ref store is a speculation candidate below.
+  Opts.ApplyElision = false;
+  CompiledProgram CP = compileProgram(G.P, Opts);
+
+  std::vector<Observed> Ref;
+  {
+    Heap H(G.P);
+    Interpreter I(G.P, CP, H);
+    SatbMarker SM(H);
+    I.attachSatb(&SM);
+    Ref = runLegs(I, H, G.Main, Legs);
+  }
+  ASSERT_EQ(Ref.front().Trap, TrapKind::StackOverflow);
+  ASSERT_EQ(Ref[1].Status, RunStatus::Finished);
+
+  for (bool Fuse : {true, false}) {
+    Heap H(G.P);
+    TranslateOptions TO;
+    TO.Fuse = Fuse;
+    FastProgram FP = translateProgram(G.P, CP, TO);
+    FastInterp I(FP, CP, H);
+    SatbMarker SM(H);
+    I.attachSatb(&SM);
+    std::vector<Observed> Fast = runLegs(I, H, G.Main, Legs);
+    ASSERT_EQ(Ref.size(), Fast.size());
+    for (size_t C = 0; C != Ref.size(); ++C)
+      expectEqual(Ref[C], Fast[C],
+                  std::string(Fuse ? "fused" : "unfused") + " checkpoint " +
+                      std::to_string(C));
+  }
+
+  // The tiered constructor: speculation promotes down() mid-recursion and
+  // forced deopts transfer its live frames between versions, so frames
+  // continue inside slots an earlier version and an earlier run wrote.
+  TieredOptions T;
+  T.Enabled = true;
+  T.WarmInvocations = 2;
+  T.HotInvocations = 4;
+  T.MinSiteExecs = 4;
+  T.ForceDeoptEvery = 3;
+  for (bool Fuse : {true, false}) {
+    Heap H(G.P);
+    TranslateOptions TO;
+    TO.Fuse = Fuse;
+    MethodVersionTable VT(G.P, CP, TO, T);
+    FastInterp I(VT, CP, H);
+    SatbMarker SM(H);
+    I.attachSatb(&SM);
+    std::vector<Observed> Fast = runLegs(I, H, G.Main, Legs);
+    EXPECT_GT(VT.counters().Deopts, 0u) << "no deopt fired";
+    ASSERT_EQ(Ref.size(), Fast.size());
+    for (size_t C = 0; C != Ref.size(); ++C)
+      expectEqual(withoutTierBookkeeping(Ref[C]),
+                  withoutTierBookkeeping(Fast[C]),
+                  std::string(Fuse ? "tiered fused" : "tiered unfused") +
+                      " checkpoint " + std::to_string(C));
+  }
+}
