@@ -35,8 +35,9 @@ void MinorGC::collect(const std::vector<ObjRef> &MutatorRoots) {
   // Precise collection. Young reachability is computed in a scratch
   // bitmap — MarkWords stays untouched so minor collections compose with
   // (inactive) major cycles without clobbering their bookkeeping.
-  const ObjRef MaxRef = H.maxRef();
-  std::vector<uint64_t> YoungMark((static_cast<size_t>(MaxRef) >> 6) + 1, 0);
+  const ObjRef HighWater = H.refHighWater();
+  std::vector<uint64_t> YoungMark((static_cast<size_t>(HighWater) + 63) >> 6,
+                                  0);
   std::vector<ObjRef> Worklist;
 
   auto PushIfYoungUnmarked = [&](ObjRef R) {
@@ -73,8 +74,8 @@ void MinorGC::collect(const std::vector<ObjRef> &MutatorRoots) {
     ++Stats.RemSetCardsScanned;
     ObjRef First = static_cast<ObjRef>(Card) << CardTable::CardShift;
     ObjRef Last = First + (ObjRef(1) << CardTable::CardShift);
-    if (Last > MaxRef + 1)
-      Last = MaxRef + 1;
+    if (Last > HighWater)
+      Last = HighWater;
     for (ObjRef R = First; R < Last; ++R) {
       HeapObject *Obj = H.objectOrNull(R);
       if (!Obj || H.isYoung(R))

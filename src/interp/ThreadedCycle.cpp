@@ -289,8 +289,8 @@ MultiMutatorResult satb::runWithConcurrentMutators(
         R.FinalPauseWork += Cycle.finish(AllRoots);
         R.Swept += Cycle.sweep();
         if (Cfg.DebugTraceCounts) {
-          R.TraceCounts.resize(H.maxRef() + 1, 0);
-          for (ObjRef Ref = 1; Ref <= H.maxRef(); ++Ref)
+          R.TraceCounts.resize(H.refHighWater(), 0);
+          for (ObjRef Ref = 1; Ref < H.refHighWater(); ++Ref)
             R.TraceCounts[Ref] = Cycle.marker().traceCount(Ref);
           R.SnapshotSet = Cycle.Snapshot;
         }

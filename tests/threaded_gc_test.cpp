@@ -606,8 +606,8 @@ struct ReplayGraph {
   }
 
   std::vector<bool> markBitmap() const {
-    std::vector<bool> Marked(H->maxRef() + 1, false);
-    for (ObjRef R = 1; R <= H->maxRef(); ++R)
+    std::vector<bool> Marked(H->refHighWater(), false);
+    for (ObjRef R = 1; R < H->refHighWater(); ++R)
       Marked[R] = H->isMarked(R);
     return Marked;
   }
@@ -626,7 +626,7 @@ TEST(ParallelMark, SatbBitIdenticalToSerialOnRecordedLog) {
     SatbMarker Marker(*G.H, 64);
     if (M > 1)
       Marker.setMarkThreads(M, &Pool);
-    Marker.enableTraceCounts(G.H->maxRef() + 1);
+    Marker.enableTraceCounts(G.H->refHighWater());
     Marker.beginMarking(G.Roots);
     std::vector<ObjRef> LogCopy = G.Log;
     Marker.flushBuffer(std::move(LogCopy));
@@ -636,7 +636,7 @@ TEST(ParallelMark, SatbBitIdenticalToSerialOnRecordedLog) {
     std::vector<bool> Marked = G.markBitmap();
     // Mark-once, and traced exactly the marked objects (nothing is
     // allocated during this cycle, so born-marked objects don't exist).
-    for (ObjRef R = 1; R <= G.H->maxRef(); ++R)
+    for (ObjRef R = 1; R < G.H->refHighWater(); ++R)
       ASSERT_EQ(Marker.traceCount(R), Marked[R] ? 1u : 0u)
           << "object " << R << " at M=" << M;
     if (M == 1) {
@@ -663,7 +663,7 @@ TEST(ParallelMark, IncUpdateBitIdenticalToSerialOnRecordedWrites) {
     IncrementalUpdateMarker Marker(*G.H);
     if (M > 1)
       Marker.setMarkThreads(M, &Pool);
-    Marker.enableTraceCounts(G.H->maxRef() + 1);
+    Marker.enableTraceCounts(G.H->refHighWater());
     Marker.beginMarking(G.Roots);
     // Replay the recorded writes: redirect slots deterministically and
     // dirty the written objects' cards, exactly as the barrier would.
@@ -676,7 +676,7 @@ TEST(ParallelMark, IncUpdateBitIdenticalToSerialOnRecordedWrites) {
     while (!Marker.markStep(64))
       ;
     Marker.finishMarking(G.Roots);
-    for (ObjRef R = 1; R <= G.H->maxRef(); ++R)
+    for (ObjRef R = 1; R < G.H->refHighWater(); ++R)
       ASSERT_LE(Marker.traceCount(R), 1u) << "object " << R << " at M=" << M;
     std::vector<bool> Marked = G.markBitmap();
     if (M == 1)

@@ -4,7 +4,11 @@
 The bench binaries append one JSON document per run to the file named by
 SATB_BENCH_JSON (bench/BenchUtil.h JsonBench). Each document looks like
 
-    {"bench": "<name>", "scale": <int>, "rows": [{...}, ...]}
+    {"bench": "<name>", "scale": <int>, "hw_threads": <int>,
+     "build_type": "<CMake config>", "rows": [{...}, ...]}
+
+(hw_threads and build_type, the host shape, are informational and not
+checked.)
 
 This checker has three layers:
 
