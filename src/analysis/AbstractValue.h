@@ -137,7 +137,7 @@ public:
     } else if (K == Kind::Int && Incoming.K == Kind::Int) {
       IntVal Merged = MergeInts(Int, Incoming.Int);
       if (Merged != Int) {
-        Int = Merged;
+        Int = std::move(Merged);
         Changed = true;
       }
     } else if (K != Kind::Conflict) {

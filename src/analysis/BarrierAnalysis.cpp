@@ -4,9 +4,10 @@
 /// Implements the abstract semantics of Sections 2.4 and 3.3, the fixpoint
 /// driver, and the elision judgments. Structure:
 ///
-///   BarrierAnalyzer::run          worklist fixpoint, then judgment pass
+///   BarrierAnalyzer::run          worklist fixpoint, judging on every visit
 ///   BarrierAnalyzer::transfer     per-instruction abstract semantics
 ///   BarrierAnalyzer::judge*       the elision judgments at stores
+///   BarrierAnalyzer::isPureReader memoized callee purity (calls)
 ///   allNonTL / allNonTLCond       escape propagation (Section 2.4)
 ///   substForAllocation            rngSubst/transfer/replS at allocations
 ///
@@ -20,9 +21,9 @@
 #include "cfg/ControlFlowGraph.h"
 #include "support/Stopwatch.h"
 
-#include <deque>
+#include <algorithm>
+#include <functional>
 #include <optional>
-#include <queue>
 
 using namespace satb;
 
@@ -32,79 +33,17 @@ IntVal simpleIntMerge(const IntVal &A, const IntVal &B) {
   return A == B ? A : IntVal::top();
 }
 
-/// Computes, for every method of \p P, whether it is a *pure reader*: no
-/// putfield/putstatic/aastore/iastore anywhere, no reference-typed return
-/// (a returned reference could alias an argument, laundering a
-/// thread-local object into GlobalRef), and only calls to other pure
-/// readers. Fixpoint over the call graph; cycles start impure and can
-/// never become pure through themselves, so iterating to stability is
-/// sound and terminates (purity only ever turns off).
-std::vector<bool> computePureReaders(const Program &P) {
-  const uint32_t N = P.numMethods();
-  std::vector<bool> Pure(N, true);
-  for (uint32_t M = 0; M != N; ++M) {
-    const Method &Body = P.method(M);
-    if (Body.ReturnType && *Body.ReturnType == JType::Ref) {
-      Pure[M] = false;
-      continue;
-    }
-    for (const Instruction &Ins : Body.Instructions) {
-      switch (Ins.Op) {
-      case Opcode::PutField:
-      case Opcode::PutStatic:
-      case Opcode::AAStore:
-      case Opcode::IAStore:
-      case Opcode::ArrayFill:
-      case Opcode::ArrayCopy:
-        Pure[M] = false;
-        break;
-      default:
-        break;
-      }
-      if (!Pure[M])
-        break;
-    }
-  }
-  // Propagate impurity through call sites to a fixed point.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (uint32_t M = 0; M != N; ++M) {
-      if (!Pure[M])
-        continue;
-      for (const Instruction &Ins : P.method(M).Instructions) {
-        if (Ins.Op == Opcode::Invoke &&
-            !Pure[static_cast<MethodId>(Ins.A)]) {
-          Pure[M] = false;
-          Changed = true;
-          break;
-        }
-      }
-    }
-  }
-  return Pure;
-}
-
 class BarrierAnalyzer {
 public:
   BarrierAnalyzer(const Program &P, const Method &M,
                   const AnalysisConfig &Cfg)
       : P(P), M(M), Cfg(Cfg), Refs(M, Cfg.TwoNamesPerSite), CFG(M),
-        Vars(Cfg.MaxVars) {
-    if (Cfg.UseCalleeSummaries && Cfg.Mode != AnalysisMode::None)
-      PureReaders = computePureReaders(P);
-    // Safepoint poll sites, computed exactly as the fast-interpreter
-    // translation places them (FastTranslate: backward-branch targets). A
-    // minor GC can run at a poll or inside an allocation/call, so the
-    // Young set dies at each. Computed unconditionally: when safepoints
-    // are not inserted this only costs precision, never soundness.
-    PollKill.assign(M.Instructions.size(), false);
-    for (uint32_t PC = 0; PC != M.Instructions.size(); ++PC) {
-      const Instruction &Ins = M.Instructions[PC];
-      if (isBranch(Ins.Op) && static_cast<uint32_t>(Ins.A) <= PC)
-        PollKill[static_cast<uint32_t>(Ins.A)] = true;
-    }
-  }
+        Vars(Cfg.MaxVars),
+        // The translation polls at these points (and at calls). A minor
+        // GC can run at a poll or inside an allocation/call, so the Young
+        // set dies at each. Applied unconditionally: when safepoints are
+        // not inserted this only costs precision, never soundness.
+        PollKill(gcPoints(M)) {}
 
   AnalysisResult run();
 
@@ -384,6 +323,13 @@ private:
 
   void transfer(AnalysisState &S, uint32_t InstrIdx);
 
+  /// Whether \p Callee is a *pure reader*: no method reachable from it
+  /// through calls (itself included) writes a field, a static or an
+  /// array, or returns a reference (which could alias an argument). A
+  /// recursion cycle none of whose members writes is pure. Walks the call
+  /// closure once per callee and memoizes the answer.
+  bool isPureReader(MethodId Callee);
+
   void judgePutField(const AnalysisState &S, const AbstractValue &Obj,
                      const AbstractValue &Val, FieldId F, uint32_t InstrIdx);
   void judgeAAStore(const AnalysisState &S, const AbstractValue &Arr,
@@ -419,18 +365,68 @@ private:
   const AnalysisConfig &Cfg;
   RefUniverse Refs;
   ControlFlowGraph CFG;
-  std::vector<bool> PureReaders;
+  /// isPureReader's memo, indexed by MethodId (sized on first use).
+  enum class Purity : uint8_t { Unknown, InWalk, Pure, Impure };
+  std::vector<Purity> CalleePurity;
   ConstUnknownRegistry ConstReg;
   VarAllocator Vars;
-  /// Instruction indices where a safepoint poll may run a minor GC
-  /// (backward-branch targets; always block leaders).
+  /// gcPoints(M): where a safepoint poll may run a minor GC (always block
+  /// leaders).
   std::vector<bool> PollKill;
   AnalysisResult Result;
   /// Reused across block visits so the per-visit in-state copy lands in
   /// already-allocated vectors instead of fresh heap blocks.
   AnalysisState Scratch;
-  bool Judging = false;
 };
+
+bool BarrierAnalyzer::isPureReader(MethodId Callee) {
+  if (CalleePurity.empty())
+    CalleePurity.assign(P.numMethods(), Purity::Unknown);
+  if (CalleePurity[Callee] != Purity::Unknown)
+    return CalleePurity[Callee] == Purity::Pure;
+  // Breadth-first over the call closure, stopping at the first impure
+  // method; a method already known pure has only pure callees.
+  std::vector<MethodId> Walk{Callee};
+  CalleePurity[Callee] = Purity::InWalk;
+  bool Pure = true;
+  for (size_t W = 0; W != Walk.size() && Pure; ++W) {
+    const Method &Body = P.method(Walk[W]);
+    if (Body.ReturnType && *Body.ReturnType == JType::Ref)
+      Pure = false;
+    for (size_t I = 0; I != Body.Instructions.size() && Pure; ++I) {
+      const Instruction &Ins = Body.Instructions[I];
+      switch (Ins.Op) {
+      case Opcode::PutField:
+      case Opcode::PutStatic:
+      case Opcode::AAStore:
+      case Opcode::IAStore:
+      case Opcode::ArrayFill:
+      case Opcode::ArrayCopy:
+        Pure = false;
+        break;
+      case Opcode::Invoke: {
+        Purity &C = CalleePurity[static_cast<MethodId>(Ins.A)];
+        if (C == Purity::Impure)
+          Pure = false;
+        else if (C == Purity::Unknown) {
+          C = Purity::InWalk;
+          Walk.push_back(static_cast<MethodId>(Ins.A));
+        }
+        break;
+      }
+      default:
+        break;
+      }
+    }
+  }
+  // A pure callee's whole closure is pure. An impure walk proves nothing
+  // about the methods it passed through, only about the callee.
+  for (MethodId W : Walk)
+    CalleePurity[W] = Pure ? Purity::Pure : Purity::Unknown;
+  if (!Pure)
+    CalleePurity[Callee] = Purity::Impure;
+  return Pure;
+}
 
 AnalysisState BarrierAnalyzer::initialState() {
   AnalysisState S;
@@ -855,10 +851,10 @@ void BarrierAnalyzer::transfer(AnalysisState &S, uint32_t InstrIdx) {
     JType Ty = P.fieldDecl(F).Type;
     AbstractValue Val = S.popValue();
     AbstractValue Obj = S.popValue();
-    if (Judging && Ty == JType::Ref)
+    if (Ty == JType::Ref) {
       judgePutField(S, Obj, Val, F, InstrIdx);
-    if (Ty == JType::Ref)
       allNonTLCond(S, Obj, Val);
+    }
     if (Obj.isRefs()) {
       const BitSet &Targets = Obj.refSet();
       bool Strong = Targets.count() == 1 &&
@@ -950,8 +946,7 @@ void BarrierAnalyzer::transfer(AnalysisState &S, uint32_t InstrIdx) {
     AbstractValue Val = S.popValue();
     AbstractValue Ind = S.popValue();
     AbstractValue Arr = S.popValue();
-    if (Judging)
-      judgeAAStore(S, Arr, Ind, InstrIdx);
+    judgeAAStore(S, Arr, Ind, InstrIdx);
     allNonTLCond(S, Arr, Val);
     if (Arr.isRefs()) {
       Val.clearSrcLocal();
@@ -983,8 +978,7 @@ void BarrierAnalyzer::transfer(AnalysisState &S, uint32_t InstrIdx) {
     AbstractValue Start = S.popValue();
     AbstractValue Val = S.popValue();
     AbstractValue Arr = S.popValue();
-    if (Judging)
-      judgeRangeStore(S, Arr, Start, Cnt, InstrIdx);
+    judgeRangeStore(S, Arr, Start, Cnt, InstrIdx);
     rangeStoreEffect(S, Arr, std::move(Val), Start, Cnt);
     return;
   }
@@ -994,8 +988,7 @@ void BarrierAnalyzer::transfer(AnalysisState &S, uint32_t InstrIdx) {
     AbstractValue Dst = S.popValue();
     S.popValue(); // source position: no abstract effect
     AbstractValue Src = S.popValue();
-    if (Judging)
-      judgeRangeStore(S, Dst, DstPos, Cnt, InstrIdx);
+    judgeRangeStore(S, Dst, DstPos, Cnt, InstrIdx);
     // The stored values are whatever the source's elements may hold.
     AbstractValue Vals =
         lookupJoin(S, Src, AnalysisState::ElemsFieldBase, JType::Ref);
@@ -1033,10 +1026,10 @@ void BarrierAnalyzer::transfer(AnalysisState &S, uint32_t InstrIdx) {
   case Opcode::Invoke: {
     MethodId CalleeId = static_cast<MethodId>(Ins.A);
     const Method &Callee = P.method(CalleeId);
-    // A pure-reader callee (see computePureReaders) cannot publish its
+    // A pure-reader callee (see isPureReader) cannot publish its
     // arguments, write any field, or hand back an alias, so the call is a
     // no-op for escape, sigma, and null-or-same state.
-    bool Pure = CalleeId < PureReaders.size() && PureReaders[CalleeId];
+    bool Pure = Cfg.UseCalleeSummaries && isPureReader(CalleeId);
     // Otherwise, passing a reference as an argument may cause it to
     // escape: nAllNonTL over the argument vector (Section 2.4).
     for (uint32_t AI = Callee.numArgs(); AI-- > 0;) {
@@ -1157,7 +1150,7 @@ void BarrierAnalyzer::processBlock(uint32_t BI, AnalysisState &S,
   }
 
   transfer(S, LastIdx);
-  for (size_t Slot = 0, E = B.Succs.size(); Slot != E; ++Slot)
+  for (size_t Slot = 0, E = B.NumSuccs; Slot != E; ++Slot)
     EmitOut(Slot, S, /*LastUse=*/Slot + 1 == E);
 }
 
@@ -1188,74 +1181,106 @@ AnalysisResult BarrierAnalyzer::run() {
     // Fixpoint over basic blocks (Section 2: "analyzes basic blocks with
     // modified start states, propagating changes to successor blocks,
     // until a fixed point is reached").
-    std::vector<std::optional<AnalysisState>> BlockIn(CFG.numBlocks());
-    std::vector<uint32_t> MergeCount(CFG.numBlocks(), 0);
-    std::vector<bool> InList(CFG.numBlocks(), false);
+    const uint32_t NB = CFG.numBlocks();
+    std::vector<std::optional<AnalysisState>> BlockIn(NB);
+    struct BlockInfo {
+      uint32_t RpoIndex = 0;
+      uint32_t Merges = 0; ///< merges into the in-state (widening count)
+      bool InList = false;
+    };
+    std::vector<BlockInfo> Info(NB);
 
     // The worklist drains in reverse post-order by default: the heap is
     // keyed by RPO index, so a loop body's changes flow back to the head
     // before anything downstream of the loop is revisited. Only reachable
     // blocks are ever enqueued (the entry, and successors of reachable
-    // blocks), so every enqueued block has an RPO index.
+    // blocks), so every enqueued block has an RPO index. A block is queued
+    // at most once at a time, so the worklist never holds more than NB
+    // entries: a binary min-heap of RPO indices, or for FIFO a ring of
+    // block ids.
     const std::vector<uint32_t> &RPO = CFG.reversePostOrder();
     const bool UseRpo = Cfg.Order == WorklistOrder::RPO;
-    std::vector<uint32_t> RpoIndex(CFG.numBlocks(), 0);
     for (uint32_t I = 0, E = static_cast<uint32_t>(RPO.size()); I != E; ++I)
-      RpoIndex[RPO[I]] = I;
-    std::priority_queue<uint32_t, std::vector<uint32_t>,
-                        std::greater<uint32_t>>
-        Heap;
-    std::deque<uint32_t> Fifo;
+      Info[RPO[I]].RpoIndex = I;
+    std::vector<uint32_t> Work(NB);
+    uint32_t Head = 0, Queued = 0;
     auto Push = [&](uint32_t BI) {
-      if (InList[BI])
+      if (Info[BI].InList)
         return;
-      InList[BI] = true;
-      if (UseRpo)
-        Heap.push(RpoIndex[BI]);
-      else
-        Fifo.push_back(BI);
+      Info[BI].InList = true;
+      if (UseRpo) {
+        Work[Queued++] = Info[BI].RpoIndex;
+        std::push_heap(Work.begin(), Work.begin() + Queued,
+                       std::greater<uint32_t>());
+      } else {
+        Work[(Head + Queued++) % NB] = BI;
+      }
     };
     auto Pop = [&]() {
       uint32_t BI;
       if (UseRpo) {
-        BI = RPO[Heap.top()];
-        Heap.pop();
+        std::pop_heap(Work.begin(), Work.begin() + Queued,
+                      std::greater<uint32_t>());
+        BI = RPO[Work[--Queued]];
       } else {
-        BI = Fifo.front();
-        Fifo.pop_front();
+        BI = Work[Head];
+        Head = (Head + 1) % NB;
+        --Queued;
       }
-      InList[BI] = false;
+      Info[BI].InList = false;
       return BI;
     };
 
     BlockIn[0] = initialState();
     Push(0);
 
-    while (UseRpo ? !Heap.empty() : !Fifo.empty()) {
+    while (Queued != 0) {
       uint32_t BI = Pop();
       ++Result.BlockVisits;
+
+      // Judge on every visit. A block is re-queued whenever its in-state
+      // changes (first arrival, single-predecessor replacement, or a
+      // merge that reports a change), so each reached block's last visit
+      // runs on its fixpoint in-state and the verdicts it writes are the
+      // fixpoint's: "the last such judgment (at the fixed point of the
+      // analysis) is correct" (Section 2.4). Clear the previous visit's
+      // verdicts first; the site flags come from the pre-scan.
+      const BasicBlock &B = CFG.block(BI);
+      for (uint32_t I = B.Begin; I != B.End; ++I) {
+        BarrierDecision &D = Result.Decisions[I];
+        D.Elide = D.TargetYoung = false;
+        D.Reason = ElisionReason::None;
+      }
 
       Scratch = *BlockIn[BI];
       processBlock(BI, Scratch, [&](size_t Slot, AnalysisState &Out,
                                     bool LastUse) {
-        uint32_t Succ = CFG.block(BI).Succs[Slot];
+        uint32_t Succ = B.Succs[Slot];
         bool Changed;
         if (!BlockIn[Succ]) {
-          if (LastUse)
+          if (LastUse) {
+            // Keep the scratch stack's buffer, which would otherwise
+            // regrow on the next visit's pushes.
+            std::vector<AbstractValue> Stack = std::move(Out.Stack);
             BlockIn[Succ] = std::move(Out);
-          else
+            BlockIn[Succ]->Stack = Stack;
+            Out.Stack = std::move(Stack);
+          } else {
             BlockIn[Succ] = Out;
+          }
           Changed = true;
-        } else if (CFG.block(Succ).Preds.size() == 1) {
+        } else if (CFG.block(Succ).NumPreds == 1) {
           // A single-predecessor block needs no join: its in-state is
           // exactly the predecessor's out-state. Replacing (rather than
           // merging) keeps loop-body states expressed in the head's
           // variable unknowns instead of smearing them against stale
           // first-iteration constants.
+          // On the last use, swap: the scratch state takes the replaced
+          // in-state's buffers for the next visit's copy.
           Changed = *BlockIn[Succ] != Out;
           if (Changed) {
             if (LastUse)
-              *BlockIn[Succ] = std::move(Out);
+              std::swap(*BlockIn[Succ], Out);
             else
               *BlockIn[Succ] = Out;
           }
@@ -1264,26 +1289,14 @@ AnalysisResult BarrierAnalyzer::run() {
           // head that keeps receiving changed states from one back edge
           // widens after a bounded number of joins no matter how the
           // worklist interleaves its pops.
-          ++MergeCount[Succ];
-          StateMerger Merger(Vars,
-                             /*Widen=*/MergeCount[Succ] > Cfg.MaxBlockVisits);
+          const bool Widen = ++Info[Succ].Merges > Cfg.MaxBlockVisits;
+          StateMerger Merger(Vars, Widen);
           Changed = Merger.merge(*BlockIn[Succ], Out);
         }
         if (Changed)
           Push(Succ);
       });
     }
-
-    // Judgment pass: "the last such judgment (at the fixed point of the
-    // analysis) is correct" (Section 2.4). One pass over the final
-    // in-states records per-site verdicts.
-    Judging = true;
-    for (uint32_t BI : CFG.reversePostOrder())
-      if (BlockIn[BI]) {
-        Scratch = *BlockIn[BI];
-        processBlock(BI, Scratch, [](size_t, AnalysisState &, bool) {});
-      }
-    Judging = false;
 
     if (Cfg.CaptureStates) {
       for (uint32_t BI = 0; BI != CFG.numBlocks(); ++BI) {
@@ -1319,6 +1332,17 @@ AnalysisResult BarrierAnalyzer::run() {
 }
 
 } // namespace
+
+std::vector<bool> satb::gcPoints(const Method &M) {
+  const uint32_t N = static_cast<uint32_t>(M.Instructions.size());
+  std::vector<bool> Points(N, false);
+  for (uint32_t PC = 0; PC != N; ++PC) {
+    const Instruction &Ins = M.Instructions[PC];
+    if (isBranch(Ins.Op) && static_cast<uint32_t>(Ins.A) <= PC)
+      Points[static_cast<uint32_t>(Ins.A)] = true;
+  }
+  return Points;
+}
 
 AnalysisResult satb::analyzeBarriers(const Program &P, const Method &M,
                                      const AnalysisConfig &Cfg) {

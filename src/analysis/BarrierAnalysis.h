@@ -141,6 +141,13 @@ struct AnalysisResult {
 AnalysisResult analyzeBarriers(const Program &P, const Method &M,
                                const AnalysisConfig &Cfg);
 
+/// The GC points of \p M besides its calls and allocations, indexed by
+/// PC: every target of a backward branch (a loop header). Translated code
+/// polls for a safepoint, where a minor GC may run, at exactly these PCs
+/// and at every Invoke; the analysis kills young-target facts at the same
+/// set (calls and allocations kill them in their own transfer).
+std::vector<bool> gcPoints(const Method &M);
+
 /// Per-PC speculation requests for one method — the runtime counterpart
 /// of a BarrierDecision. Where the static analysis *proves* a store
 /// pre-null, a profile can only *observe* it; the tiered engine turns

@@ -8,12 +8,50 @@
 
 using namespace satb;
 
+IntVal &IntVal::assignSpilled(const IntVal &O) {
+  if (this == &O)
+    return *this;
+  UnknownTerm *Dst = reserveTerms(O.NumTerms);
+  std::copy(O.terms(), O.terms() + O.NumTerms, Dst);
+  NumTerms = O.NumTerms;
+  Top = O.Top;
+  Var = O.Var;
+  VarCoeff = O.VarCoeff;
+  Const = O.Const;
+  return *this;
+}
+
+UnknownTerm *IntVal::reserveTerms(uint32_t N) {
+  if (N <= 1) {
+    if (spilled()) {
+      delete[] Spill;
+      SpillCap = 0;
+      One = {0, 0}; // makes One the union's active member again
+    }
+    return &One;
+  }
+  if (SpillCap < N) {
+    freeSpill();
+    Spill = new UnknownTerm[N];
+    SpillCap = N;
+  }
+  return Spill;
+}
+
 void IntVal::canonicalize() {
   if (VarCoeff == 0)
     Var = NoVar;
-  Unknowns.erase(std::remove_if(Unknowns.begin(), Unknowns.end(),
-                                [](const auto &T) { return T.second == 0; }),
-                 Unknowns.end());
+  UnknownTerm *T = terms();
+  NumTerms = static_cast<uint32_t>(
+      std::remove_if(T, T + NumTerms,
+                     [](const UnknownTerm &U) { return U.Coeff == 0; }) -
+      T);
+  if (spilled() && NumTerms <= 1) {
+    UnknownTerm Last = NumTerms ? T[0] : UnknownTerm{0, 0};
+    delete[] Spill;
+    SpillCap = 0;
+    One = Last;
+  }
 }
 
 IntVal satb::operator+(const IntVal &A, const IntVal &B) {
@@ -34,21 +72,22 @@ IntVal satb::operator+(const IntVal &A, const IntVal &B) {
     R.VarCoeff = B.VarCoeff;
   }
   // Merge sorted constant-unknown term lists.
-  size_t I = 0, J = 0;
-  while (I < A.Unknowns.size() || J < B.Unknowns.size()) {
-    if (J == B.Unknowns.size() ||
-        (I < A.Unknowns.size() && A.Unknowns[I].first < B.Unknowns[J].first))
-      R.Unknowns.push_back(A.Unknowns[I++]);
-    else if (I == A.Unknowns.size() ||
-             B.Unknowns[J].first < A.Unknowns[I].first)
-      R.Unknowns.push_back(B.Unknowns[J++]);
+  const UnknownTerm *TA = A.terms(), *TB = B.terms();
+  const uint32_t NA = A.NumTerms, NB = B.NumTerms;
+  UnknownTerm *Out = R.reserveTerms(NA + NB);
+  uint32_t I = 0, J = 0, K = 0;
+  while (I < NA || J < NB) {
+    if (J == NB || (I < NA && TA[I].Id < TB[J].Id))
+      Out[K++] = TA[I++];
+    else if (I == NA || TB[J].Id < TA[I].Id)
+      Out[K++] = TB[J++];
     else {
-      R.Unknowns.emplace_back(A.Unknowns[I].first,
-                              A.Unknowns[I].second + B.Unknowns[J].second);
+      Out[K++] = {TA[I].Id, TA[I].Coeff + TB[J].Coeff};
       ++I;
       ++J;
     }
   }
+  R.NumTerms = K;
   R.Const = A.Const + B.Const;
   R.canonicalize();
   return R;
@@ -73,8 +112,9 @@ IntVal IntVal::mulConstant(int64_t K) const {
     return K == 0 ? constant(0) : top();
   IntVal R = *this;
   R.VarCoeff *= K;
-  for (auto &T : R.Unknowns)
-    T.second *= K;
+  UnknownTerm *T = R.terms();
+  for (uint32_t I = 0; I != R.NumTerms; ++I)
+    T[I].Coeff *= K;
   R.Const *= K;
   R.canonicalize();
   return R;
@@ -120,8 +160,8 @@ std::string IntVal::str() const {
     Out += Buf;
   };
   Term(VarCoeff, "v", Var);
-  for (const auto &T : Unknowns)
-    Term(T.second, "c", T.first);
+  for (const UnknownTerm &T : unknownTerms())
+    Term(T.Coeff, "c", T.Id);
   if (Const != 0 || Out.empty()) {
     if (!Out.empty())
       Out += Const < 0 ? " - " : " + ";
@@ -138,8 +178,8 @@ bool satb::provablyNonNegative(const IntVal &V,
     return false;
   if (V.constTerm() < 0)
     return false;
-  for (const auto &T : V.unknownTerms())
-    if (T.second < 0 || !Reg.isNonNegative(T.first))
+  for (const UnknownTerm &T : V.unknownTerms())
+    if (T.Coeff < 0 || !Reg.isNonNegative(T.Id))
       return false;
   return true;
 }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,11 +28,46 @@ using VarId = uint32_t;
 using ConstUnknownId = uint32_t;
 constexpr uint32_t NoVar = ~uint32_t(0);
 
+/// One K*c term of an IntVal: coefficient Coeff on constant unknown Id.
+struct UnknownTerm {
+  ConstUnknownId Id;
+  int64_t Coeff;
+  bool operator==(const UnknownTerm &) const = default;
+};
+
 /// A symbolic integer: Top, or VarCoeff*Var + sum(K_i * c_i) + Const.
+///
+/// The constant-unknown terms live inline while there is at most one of
+/// them (every int parameter is one such c_i, Section 3.4, so the common
+/// symbolic value is c_i + k) and spill to a heap array from two on;
+/// copying, comparing or merging a one-term value allocates nothing.
 class IntVal {
 public:
   /// Default-constructed IntVals are the constant 0.
   IntVal() = default;
+  // Copies and moves of inline values stay inline and branch once; only a
+  // spilled source or target leaves the fast path.
+  IntVal(const IntVal &O) { *this = O; }
+  IntVal(IntVal &&O) noexcept { take(O); }
+  IntVal &operator=(const IntVal &O) {
+    if (spilled() || O.spilled())
+      return assignSpilled(O);
+    Top = O.Top;
+    Var = O.Var;
+    VarCoeff = O.VarCoeff;
+    One = O.One;
+    NumTerms = O.NumTerms;
+    Const = O.Const;
+    return *this;
+  }
+  IntVal &operator=(IntVal &&O) noexcept {
+    if (this != &O) {
+      freeSpill();
+      take(O);
+    }
+    return *this;
+  }
+  ~IntVal() { freeSpill(); }
 
   static IntVal top() {
     IntVal V;
@@ -45,7 +81,8 @@ public:
   }
   static IntVal constUnknown(ConstUnknownId Id) {
     IntVal V;
-    V.Unknowns.emplace_back(Id, 1);
+    V.One = {Id, 1};
+    V.NumTerms = 1;
     return V;
   }
   static IntVal variable(VarId Id) {
@@ -60,13 +97,14 @@ public:
   VarId var() const { return Var; }
   int64_t varCoeff() const { return Top ? 0 : VarCoeff; }
   int64_t constTerm() const { return Const; }
-  const std::vector<std::pair<ConstUnknownId, int64_t>> &unknownTerms() const {
-    return Unknowns;
+  /// The constant-unknown terms, sorted by Id; coefficients never zero.
+  std::span<const UnknownTerm> unknownTerms() const {
+    return {terms(), NumTerms};
   }
 
   /// int_const(v): a literal integer with no symbolic terms at all.
   bool isPureConstant() const {
-    return !Top && VarCoeff == 0 && Unknowns.empty();
+    return !Top && VarCoeff == 0 && NumTerms == 0;
   }
 
   /// \returns true if the value has no variable-unknown term (it may still
@@ -85,8 +123,14 @@ public:
   bool operator==(const IntVal &O) const {
     if (Top || O.Top)
       return Top == O.Top;
-    return VarCoeff == O.VarCoeff && (VarCoeff == 0 || Var == O.Var) &&
-           Const == O.Const && Unknowns == O.Unknowns;
+    if (VarCoeff != O.VarCoeff || (VarCoeff != 0 && Var != O.Var) ||
+        Const != O.Const || NumTerms != O.NumTerms)
+      return false;
+    const UnknownTerm *A = terms(), *B = O.terms();
+    for (uint32_t I = 0; I != NumTerms; ++I)
+      if (!(A[I] == B[I]))
+        return false;
+    return true;
   }
   bool operator!=(const IntVal &O) const { return !(*this == O); }
 
@@ -99,15 +143,54 @@ public:
   std::string str() const;
 
 private:
+  bool spilled() const { return SpillCap != 0; }
+  const UnknownTerm *terms() const { return spilled() ? Spill : &One; }
+  UnknownTerm *terms() { return spilled() ? Spill : &One; }
+  /// \returns writable storage for \p N terms (inline for N <= 1); the
+  /// caller fills it, sets NumTerms, and calls canonicalize().
+  UnknownTerm *reserveTerms(uint32_t N);
+  /// Copy assignment when either side is spilled.
+  IntVal &assignSpilled(const IntVal &O);
+  void freeSpill() {
+    if (spilled())
+      delete[] Spill;
+  }
+  /// Moves \p O's value here (this holds no spill) and leaves \p O with
+  /// no terms.
+  void take(IntVal &O) {
+    Top = O.Top;
+    Var = O.Var;
+    VarCoeff = O.VarCoeff;
+    NumTerms = O.NumTerms;
+    SpillCap = O.SpillCap;
+    Const = O.Const;
+    if (O.spilled()) {
+      Spill = O.Spill;
+      O.NumTerms = O.SpillCap = 0;
+    } else {
+      One = O.One;
+    }
+  }
+  /// Clears a zero VarCoeff's Var, drops zero-coefficient terms, and moves
+  /// a spilled list that shrank to one term or none back inline.
   void canonicalize();
 
   bool Top = false;
   VarId Var = NoVar;
   int64_t VarCoeff = 0;
-  /// Sorted by ConstUnknownId; coefficients never zero.
-  std::vector<std::pair<ConstUnknownId, int64_t>> Unknowns;
+  /// The terms, sorted by Id with no zero coefficients: One while
+  /// NumTerms <= 1, else Spill (SpillCap entries on the heap).
+  union {
+    UnknownTerm One{0, 0};
+    UnknownTerm *Spill;
+  };
+  uint32_t NumTerms = 0;
+  uint32_t SpillCap = 0;
   int64_t Const = 0;
 };
+
+// AbstractValue embeds an IntVal; a second inline term would grow both.
+static_assert(sizeof(IntVal) == 48, "IntVal keeps one term inline in 48 bytes");
 
 IntVal operator+(const IntVal &A, const IntVal &B);
 IntVal operator-(const IntVal &A, const IntVal &B);

@@ -23,12 +23,12 @@ std::optional<IntVal> StateMerger::match(const IntVal &I1, const IntVal &I2) {
   assert(!Diff.isTop() && Diff.isVarFree() && "residues must be linear");
   if (Diff.constTerm() % A1 != 0)
     return std::nullopt;
-  for (const auto &T : Diff.unknownTerms())
-    if (T.second % A1 != 0)
+  for (const UnknownTerm &T : Diff.unknownTerms())
+    if (T.Coeff % A1 != 0)
       return std::nullopt;
   IntVal Scaled = IntVal::constant(Diff.constTerm() / A1);
-  for (const auto &T : Diff.unknownTerms())
-    Scaled = Scaled + IntVal::constUnknown(T.first).mulConstant(T.second / A1);
+  for (const UnknownTerm &T : Diff.unknownTerms())
+    Scaled = Scaled + IntVal::constUnknown(T.Id).mulConstant(T.Coeff / A1);
   if (!I2.hasVarTerm())
     return Scaled;
   return IntVal::variable(I2.var()) + Scaled;

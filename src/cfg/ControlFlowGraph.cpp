@@ -29,6 +29,8 @@ ControlFlowGraph::ControlFlowGraph(const Method &M) {
   }
 
   // Materialize blocks.
+  Blocks.reserve(
+      static_cast<size_t>(std::count(Leader.begin(), Leader.end(), true)));
   InstrToBlock.resize(N);
   for (uint32_t I = 0; I != N;) {
     uint32_t End = I + 1;
@@ -40,7 +42,7 @@ ControlFlowGraph::ControlFlowGraph(const Method &M) {
     uint32_t BlockIdx = static_cast<uint32_t>(Blocks.size());
     for (uint32_t J = I; J != End; ++J)
       InstrToBlock[J] = BlockIdx;
-    Blocks.push_back(std::move(B));
+    Blocks.push_back(B);
     I = End;
   }
 
@@ -49,9 +51,10 @@ ControlFlowGraph::ControlFlowGraph(const Method &M) {
     BasicBlock &B = Blocks[BI];
     const Instruction &Last = Code[B.End - 1];
     auto AddEdge = [&](uint32_t TargetInstr) {
+      assert(B.NumSuccs < 2 && "a block has at most two successors");
       uint32_t Succ = InstrToBlock[TargetInstr];
-      B.Succs.push_back(Succ);
-      Blocks[Succ].Preds.push_back(BI);
+      B.Succs[B.NumSuccs++] = Succ;
+      ++Blocks[Succ].NumPreds;
     };
     if (isReturn(Last.Op))
       continue;
@@ -63,16 +66,18 @@ ControlFlowGraph::ControlFlowGraph(const Method &M) {
     }
   }
 
-  // Reverse postorder via iterative DFS from the entry.
+  // Reverse postorder via iterative DFS from the entry: RPO collects the
+  // postorder, then flips in place.
   Reachable.assign(numBlocks(), false);
-  std::vector<uint32_t> PostOrder;
+  RPO.reserve(numBlocks());
   // Stack entries: (block, next successor index to visit).
-  std::vector<std::pair<uint32_t, size_t>> Stack;
+  std::vector<std::pair<uint32_t, uint32_t>> Stack;
+  Stack.reserve(numBlocks());
   Reachable[0] = true;
   Stack.emplace_back(0, 0);
   while (!Stack.empty()) {
     auto &[BI, SuccIdx] = Stack.back();
-    if (SuccIdx < Blocks[BI].Succs.size()) {
+    if (SuccIdx < Blocks[BI].NumSuccs) {
       uint32_t Succ = Blocks[BI].Succs[SuccIdx++];
       if (!Reachable[Succ]) {
         Reachable[Succ] = true;
@@ -80,8 +85,8 @@ ControlFlowGraph::ControlFlowGraph(const Method &M) {
       }
       continue;
     }
-    PostOrder.push_back(BI);
+    RPO.push_back(BI);
     Stack.pop_back();
   }
-  RPO.assign(PostOrder.rbegin(), PostOrder.rend());
+  std::reverse(RPO.begin(), RPO.end());
 }

@@ -13,16 +13,25 @@
 
 #include "bytecode/Program.h"
 
+#include <span>
 #include <vector>
 
 namespace satb {
 
-/// A maximal straight-line instruction range [Begin, End).
+/// A maximal straight-line instruction range [Begin, End). Holds no heap
+/// memory: a block ends in at most one branch, so it has at most two
+/// successors (the branch target, then the fall-through), and the
+/// analysis needs only the number of predecessors.
 struct BasicBlock {
   uint32_t Begin = 0;
   uint32_t End = 0; ///< exclusive
-  std::vector<uint32_t> Succs;
-  std::vector<uint32_t> Preds;
+  /// Edges into the block; a conditional branch to its own fall-through
+  /// counts twice.
+  uint32_t NumPreds = 0;
+  uint32_t NumSuccs = 0;
+  uint32_t Succs[2] = {0, 0};
+
+  std::span<const uint32_t> succs() const { return {Succs, NumSuccs}; }
 };
 
 /// The control-flow graph of one method. Block 0 is the entry block

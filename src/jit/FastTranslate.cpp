@@ -619,21 +619,19 @@ FastMethod translateMethodImpl(const Program &P, const CompiledProgram &CP,
   FM.NumArgs = Body.numArgs();
   FM.FrameSlots = Body.NumLocals + maxStackDepth(CP, Body);
 
-  // Safepoint placement: a poll before every loop header (any target of
-  // a backward branch) and before every call bounds the instructions a
-  // mutator can execute between polls on any path — straight-line code
-  // without calls terminates on its own. Polls have no stack effect, so
-  // FrameSlots is computed on the original body above.
+  // Safepoint placement: a poll before every loop header (gcPoints, the
+  // set where the analysis kills young facts) and before every call
+  // bounds the instructions a mutator can execute between polls on any
+  // path — straight-line code without calls terminates on its own. Polls
+  // have no stack effect, so FrameSlots is computed on the original body
+  // above.
   uint32_t NumPCs = static_cast<uint32_t>(Body.Instructions.size());
   std::vector<bool> Poll(NumPCs, false);
   if (Opts.InsertSafepoints) {
-    for (uint32_t PC = 0; PC != NumPCs; ++PC) {
-      const Instruction &Ins = Body.Instructions[PC];
-      if (isBranch(Ins.Op) && static_cast<uint32_t>(Ins.A) <= PC)
-        Poll[static_cast<uint32_t>(Ins.A)] = true;
-      if (Ins.Op == Opcode::Invoke)
+    Poll = gcPoints(Body);
+    for (uint32_t PC = 0; PC != NumPCs; ++PC)
+      if (Body.Instructions[PC].Op == Opcode::Invoke)
         Poll[PC] = true;
-    }
   }
   // NewIdx[PC] = the instruction's index in the emitted stream; its
   // poll, if any, sits at NewIdx[PC] - 1. Branches land on the poll so

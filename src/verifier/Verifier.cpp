@@ -374,7 +374,7 @@ VerifyResult MethodVerifier::run() {
     for (uint32_t I = B.Begin; I != B.End; ++I)
       if (!step(S, I))
         return Result;
-    for (uint32_t Succ : B.Succs) {
+    for (uint32_t Succ : B.succs()) {
       bool Changed = false;
       if (!mergeInto(Succ, S, B.End - 1, Changed))
         return Result;

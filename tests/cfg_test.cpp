@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 
 using namespace satb;
+
+// Blocks hold no heap memory: a CFG is one flat array of them.
+static_assert(std::is_trivially_copyable_v<BasicBlock>);
 
 namespace {
 
@@ -34,7 +38,7 @@ TEST(CFG, StraightLineIsOneBlock) {
   EXPECT_EQ(CFG.numBlocks(), 1u);
   EXPECT_EQ(CFG.block(0).Begin, 0u);
   EXPECT_EQ(CFG.block(0).End, 5u);
-  EXPECT_TRUE(CFG.block(0).Succs.empty());
+  EXPECT_TRUE(CFG.block(0).succs().empty());
 }
 
 TEST(CFG, DiamondShape) {
@@ -43,13 +47,13 @@ TEST(CFG, DiamondShape) {
   ControlFlowGraph CFG(M);
   ASSERT_EQ(CFG.numBlocks(), 4u);
   // Entry has two successors: taken (else) first, then fall-through.
-  ASSERT_EQ(CFG.block(0).Succs.size(), 2u);
+  ASSERT_EQ(CFG.block(0).NumSuccs, 2u);
   EXPECT_EQ(CFG.block(0).Succs[0], CFG.blockOf(5)); // taken edge
   EXPECT_EQ(CFG.block(0).Succs[1], CFG.blockOf(2)); // fall-through
   // Join block has two predecessors.
   uint32_t Join = CFG.blockOf(7);
-  EXPECT_EQ(CFG.block(Join).Preds.size(), 2u);
-  EXPECT_TRUE(CFG.block(Join).Succs.empty());
+  EXPECT_EQ(CFG.block(Join).NumPreds, 2u);
+  EXPECT_TRUE(CFG.block(Join).succs().empty());
 }
 
 TEST(CFG, LoopBackEdge) {
@@ -65,8 +69,8 @@ TEST(CFG, LoopBackEdge) {
   ASSERT_EQ(CFG.numBlocks(), 4u);
   uint32_t Head_B = CFG.blockOf(2), Body = CFG.blockOf(5);
   // The head has two predecessors: entry and the back edge.
-  EXPECT_EQ(CFG.block(Head_B).Preds.size(), 2u);
-  ASSERT_EQ(CFG.block(Body).Succs.size(), 1u);
+  EXPECT_EQ(CFG.block(Head_B).NumPreds, 2u);
+  ASSERT_EQ(CFG.block(Body).NumSuccs, 1u);
   EXPECT_EQ(CFG.block(Body).Succs[0], Head_B);
 }
 
@@ -93,7 +97,7 @@ TEST(CFG, ReversePostOrderVisitsPredsFirstInAcyclic) {
   };
   // In an acyclic graph every predecessor precedes its successor.
   for (uint32_t B = 0; B != CFG.numBlocks(); ++B)
-    for (uint32_t S : CFG.block(B).Succs)
+    for (uint32_t S : CFG.block(B).succs())
       EXPECT_LT(Pos(B), Pos(S));
 }
 
@@ -123,6 +127,6 @@ TEST(CFG, ConditionalBranchToNextInstruction) {
   B.bind(Next).ret();
   ControlFlowGraph CFG(P.method(B.finish()));
   ASSERT_EQ(CFG.numBlocks(), 2u);
-  EXPECT_EQ(CFG.block(0).Succs.size(), 2u);
-  EXPECT_EQ(CFG.block(1).Preds.size(), 2u);
+  EXPECT_EQ(CFG.block(0).NumSuccs, 2u);
+  EXPECT_EQ(CFG.block(1).NumPreds, 2u);
 }

@@ -1,8 +1,11 @@
 //===- tests/compiler_test.cpp - Pipeline, code size, modes ---------------===//
 
+#include "RandomProgram.h"
 #include "TestUtil.h"
 
+#include "jit/FastCode.h"
 #include "workloads/StdLib.h"
+#include "workloads/Workload.h"
 
 using namespace satb;
 using namespace satb::testutil;
@@ -180,4 +183,61 @@ TEST(Compiler, AnalysisTimeGrowsWithMode) {
   double BTime = compileProgram(P, BOpts).totalAnalysisTimeUs();
   double ATime = compileProgram(P, AOpts).totalAnalysisTimeUs();
   EXPECT_GE(ATime, BTime);
+}
+
+namespace {
+
+/// Checks that \p FP's Safepoint polls sit exactly at the gcPoints of
+/// each compiled body and before each Invoke: the translator's poll set is
+/// the set the analysis kills young facts at, plus calls.
+void expectPollsAtGcPoints(const CompiledProgram &CP, const FastProgram &FP) {
+  ASSERT_EQ(CP.Methods.size(), FP.Methods.size());
+  for (size_t M = 0; M != CP.Methods.size(); ++M) {
+    const Method &Body = CP.Methods[M].Body;
+    const std::vector<bool> Points = gcPoints(Body);
+    // Each non-poll instruction of the stream is the next original PC; a
+    // poll belongs to the instruction after it.
+    uint32_t PC = 0;
+    bool PollPending = false;
+    for (const FastInst &FI : FP.Methods[M].Code) {
+      if (static_cast<FastOp>(FI.Op) == FastOp::Safepoint) {
+        EXPECT_FALSE(PollPending) << "two polls in a row";
+        PollPending = true;
+        continue;
+      }
+      ASSERT_LT(PC, Body.Instructions.size());
+      const bool Wanted =
+          Points[PC] || Body.Instructions[PC].Op == Opcode::Invoke;
+      EXPECT_EQ(PollPending, Wanted) << "method " << M << " pc " << PC;
+      PollPending = false;
+      ++PC;
+    }
+    EXPECT_EQ(PC, Body.Instructions.size());
+  }
+}
+
+} // namespace
+
+TEST(Compiler, SafepointPollsSitAtGcPointsOrCalls) {
+  TranslateOptions TO;
+  TO.InsertSafepoints = true;
+  TO.Fuse = false;
+  size_t Polled = 0;
+  auto Check = [&](const Program &P, uint32_t InlineLimit) {
+    CompilerOptions Opts;
+    Opts.Inline.InlineLimit = InlineLimit;
+    Opts.Interp = InterpMode::Fast;
+    CompiledProgram CP = compileProgram(P, Opts);
+    FastProgram FP = translateProgram(P, CP, TO);
+    expectPollsAtGcPoints(CP, FP);
+    for (const FastMethod &FM : FP.Methods)
+      for (const FastInst &FI : FM.Code)
+        Polled += static_cast<FastOp>(FI.Op) == FastOp::Safepoint;
+  };
+  for (const Workload &W : allWorkloads())
+    for (uint32_t Limit : {0u, 100u})
+      Check(*W.P, Limit);
+  for (uint32_t Seed = 1; Seed <= 40; ++Seed)
+    Check(*RandomProgramGenerator(Seed).generate().P, 100);
+  EXPECT_GT(Polled, 0u);
 }

@@ -88,6 +88,51 @@ std::shared_ptr<Program> straightLine(unsigned Blocks) {
   return P;
 }
 
+/// One method whose array lengths and fill, copy and store bounds are
+/// sums of its three int parameters, so symbolic values with two and three
+/// constant-unknown terms (c0 + c1, c0 + c1 + c2) reach the judgments and
+/// the loop-head merges.
+std::shared_ptr<Program> paramBounds(MethodId &Entry) {
+  auto P = std::make_shared<Program>();
+  ClassId Pair = P->addClass("Pair");
+  MethodBuilder B(*P, "bounds", {JType::Int, JType::Int, JType::Int},
+                  std::nullopt);
+  Local A = B.arg(0), Bn = B.arg(1), C = B.arg(2);
+  Local Arr = B.newLocal(JType::Ref), Dst = B.newLocal(JType::Ref);
+  Local X = B.newLocal(JType::Ref), I = B.newLocal(JType::Int);
+  Label Head = B.newLabel(), Done = B.newLabel();
+  Label Head2 = B.newLabel(), Done2 = B.newLabel();
+  // arr = new Object[a + b]; x = new Pair
+  B.iload(A).iload(Bn).iadd().newRefArray().astore(Arr);
+  B.newInstance(Pair).astore(X);
+  // fill arr[a .. a+b) then arr[0 .. a) with x
+  B.aload(Arr).aload(X).iload(A).iload(Bn).arrayfill();
+  B.aload(Arr).aload(X).iconst(0).iload(A).arrayfill();
+  // dst = new Object[a + b + c]; copy arr[0 .. a+b) to dst[c ..)
+  B.iload(A).iload(Bn).iadd().iload(C).iadd().newRefArray().astore(Dst);
+  B.aload(Arr).iconst(0).aload(Dst).iload(C).iload(A).iload(Bn).iadd();
+  B.arraycopy();
+  // for (i = 0; i < c; ++i) dst[i] = x
+  B.iconst(0).istore(I);
+  B.bind(Head).iload(I).iload(C).ifICmpGe(Done);
+  B.aload(Dst).iload(I).aload(X).aastore();
+  B.iinc(I, 1).jump(Head);
+  // arr = new Object[a + b + c]; for (i = a + b; i < a + b + c; ++i)
+  // arr[i] = x; then fill arr[0 .. a+b) with x
+  B.bind(Done).iload(A).iload(Bn).iadd().iload(C).iadd().newRefArray();
+  B.astore(Arr);
+  B.iload(A).iload(Bn).iadd().istore(I);
+  B.bind(Head2).iload(I).iload(A).iload(Bn).iadd().iload(C).iadd();
+  B.ifICmpGe(Done2);
+  B.aload(Arr).iload(I).aload(X).aastore();
+  B.iinc(I, 1).jump(Head2);
+  B.bind(Done2).aload(Arr).aload(X).iconst(0).iload(A).iload(Bn).iadd();
+  B.arrayfill();
+  B.ret();
+  Entry = B.finish();
+  return P;
+}
+
 CompilerOptions serialOpts(BarrierMode Mode) {
   CompilerOptions Opts;
   Opts.Barrier = Mode;
@@ -110,6 +155,13 @@ uint64_t straightLineFingerprint(BarrierMode Mode) {
   Fingerprint F;
   for (unsigned Blocks : {8u, 16u, 32u, 64u})
     F.add(compileProgram(*straightLine(Blocks), serialOpts(Mode)));
+  return F.H;
+}
+
+uint64_t paramBoundsFingerprint(BarrierMode Mode) {
+  Fingerprint F;
+  MethodId Entry;
+  F.add(compileProgram(*paramBounds(Entry), serialOpts(Mode)));
   return F.H;
 }
 
@@ -139,6 +191,17 @@ TEST(Determinism, DecisionFingerprintStraightLine) {
   EXPECT_EQ(straightLineFingerprint(BarrierMode::Satb), 0x6a51be1c49afa2b1ull);
   EXPECT_EQ(straightLineFingerprint(BarrierMode::Generational),
             0xd81485c3f91e96c5ull);
+}
+
+TEST(Determinism, DecisionFingerprintParamBounds) {
+  EXPECT_EQ(paramBoundsFingerprint(BarrierMode::Satb), 0x54840b3007c60aaaull);
+  EXPECT_EQ(paramBoundsFingerprint(BarrierMode::Generational),
+            0x0f0546d24a90966full);
+  // The method also runs clean: no elided barrier is dynamically
+  // unjustified.
+  MethodId Entry;
+  std::shared_ptr<Program> P = paramBounds(Entry);
+  runChecked(*P, Entry, {3, 4, 5});
 }
 
 TEST(Determinism, DecisionFingerprintRandomPrograms) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 using namespace satb;
 
 TEST(IntVal, DefaultIsZeroConstant) {
@@ -38,8 +40,8 @@ TEST(IntVal, ConstUnknownLinearCombination) {
   EXPECT_FALSE(V.isPureConstant());
   EXPECT_TRUE(V.isVarFree());
   ASSERT_EQ(V.unknownTerms().size(), 1u);
-  EXPECT_EQ(V.unknownTerms()[0].first, 0u);
-  EXPECT_EQ(V.unknownTerms()[0].second, 2);
+  EXPECT_EQ(V.unknownTerms()[0].Id, 0u);
+  EXPECT_EQ(V.unknownTerms()[0].Coeff, 2);
   EXPECT_EQ(V.constTerm(), -1);
   EXPECT_EQ(V.str(), "2*c0 - 1");
 }
@@ -112,6 +114,112 @@ TEST(IntVal, StrRendering) {
   EXPECT_EQ(IntVal::constant(-4).str(), "-4");
   EXPECT_EQ(IntVal::variable(0).str(), "v0");
   EXPECT_EQ((IntVal::variable(0) + IntVal::constant(1)).str(), "v0 + 1");
+}
+
+namespace {
+
+IntVal c(ConstUnknownId Id) { return IntVal::constUnknown(Id); }
+
+using Terms = std::vector<std::pair<ConstUnknownId, int64_t>>;
+
+/// The terms of \p V as (Id, Coeff) pairs, for comparing whole lists.
+Terms terms(const IntVal &V) {
+  Terms Out;
+  for (const UnknownTerm &T : V.unknownTerms())
+    Out.emplace_back(T.Id, T.Coeff);
+  return Out;
+}
+
+/// Values with zero, one (inline) and two or three (spilled) terms.
+std::vector<IntVal> termCountSamples() {
+  return {IntVal::constant(7), c(0).addConstant(1),
+          c(0) + c(1).mulConstant(2), c(0) + c(1) + c(2).addConstant(-3),
+          IntVal::top(), IntVal::variable(4) + c(1) + c(3)};
+}
+
+} // namespace
+
+TEST(IntVal, CopyMoveAndAssignAcrossInlineAndSpilled) {
+  const std::vector<IntVal> Samples = termCountSamples();
+  for (const IntVal &X : Samples)
+    for (const IntVal &Y : Samples) {
+      IntVal Copied(Y);
+      EXPECT_EQ(Copied, Y);
+      EXPECT_EQ(terms(Copied), terms(Y));
+
+      IntVal Assigned = X;
+      Assigned = Y;
+      EXPECT_EQ(Assigned, Y);
+      EXPECT_EQ(terms(Assigned), terms(Y));
+
+      IntVal Source = Y;
+      IntVal Moved(std::move(Source));
+      EXPECT_EQ(Moved, Y);
+
+      IntVal MoveTarget = X;
+      IntVal MoveSource = Y;
+      MoveTarget = std::move(MoveSource);
+      EXPECT_EQ(MoveTarget, Y);
+      EXPECT_EQ(terms(MoveTarget), terms(Y));
+      // A moved-from value stays assignable.
+      MoveSource = X;
+      EXPECT_EQ(MoveSource, X);
+    }
+  for (IntVal V : Samples) {
+    const IntVal Before = V;
+    IntVal &Alias = V;
+    V = Alias;
+    EXPECT_EQ(V, Before);
+  }
+}
+
+TEST(IntVal, TermsGrowThroughArithmetic) {
+  IntVal V = IntVal::constant(5);
+  EXPECT_EQ(V.unknownTerms().size(), 0u);
+  V = V + c(1);
+  EXPECT_EQ(terms(V), (Terms{{1, 1}}));
+  V = V - c(0).mulConstant(2);
+  EXPECT_EQ(terms(V), (Terms{{0, -2}, {1, 1}}));
+  V = c(2).mulConstant(3) + V;
+  EXPECT_EQ(terms(V), (Terms{{0, -2}, {1, 1}, {2, 3}}));
+  EXPECT_EQ(V.constTerm(), 5);
+  V = V.mulConstant(-2);
+  EXPECT_EQ(terms(V), (Terms{{0, 4}, {1, -2}, {2, -6}}));
+  EXPECT_EQ(V.constTerm(), -10);
+  EXPECT_EQ(V.str(), "4*c0 - 2*c1 - 6*c2 - 10");
+  EXPECT_EQ(V.mulConstant(0), IntVal::constant(0));
+  EXPECT_TRUE(V.mulConstant(0).unknownTerms().empty());
+  // Adding a term to a three-term value in sorted position.
+  IntVal W = c(0) + c(2) + c(3) + c(1);
+  EXPECT_EQ(terms(W), (Terms{{0, 1}, {1, 1}, {2, 1}, {3, 1}}));
+}
+
+TEST(IntVal, CanonicalizationShrinksSpilledTerms) {
+  IntVal Three = c(0) + c(1) + c(2).addConstant(4);
+  ASSERT_EQ(Three.unknownTerms().size(), 3u);
+  IntVal One = Three - c(2) - c(0);
+  EXPECT_EQ(terms(One), (Terms{{1, 1}}));
+  EXPECT_EQ(One, c(1).addConstant(4));
+  IntVal None = One - c(1);
+  EXPECT_TRUE(None.isPureConstant());
+  EXPECT_EQ(None, IntVal::constant(4));
+  // Cancelling two spilled values down to one term in one step.
+  IntVal Diff = (c(0) + c(1).mulConstant(2)) - (c(1).mulConstant(2) + c(3));
+  EXPECT_EQ(terms(Diff), (Terms{{0, 1}, {3, -1}}));
+  EXPECT_EQ(Diff + c(3), c(0));
+  EXPECT_EQ(Diff.substituteVar(0, c(5)), Diff);
+}
+
+TEST(IntVal, EqualityAcrossInlineAndSpilled) {
+  IntVal Spilled = c(0) + c(1);
+  IntVal Inline = c(0);
+  EXPECT_NE(Spilled, Inline);
+  EXPECT_NE(Inline, Spilled);
+  EXPECT_EQ(Spilled - c(1), Inline);
+  EXPECT_EQ(c(1) + c(0), Spilled);
+  EXPECT_NE(Spilled, c(0) + c(2));
+  EXPECT_NE(Spilled, c(0) + c(1).mulConstant(2));
+  EXPECT_NE(Spilled, Spilled.addConstant(1));
 }
 
 TEST(ConstUnknownRegistry, TracksNonNegativity) {

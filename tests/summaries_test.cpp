@@ -152,6 +152,56 @@ TEST(Summaries, RecursivePureReader) {
   EXPECT_EQ(S.ElidedExecs, S.TotalExecs);
 }
 
+TEST(Summaries, PurityIsPerCalleeAndOrderIndependent) {
+  PairFixture F;
+  MethodId Leaf = addProbe(F.P, "leaf");
+  // dirtyA <-> dirtyB recurse; dirtyA also calls leaf, dirtyB writes a
+  // static. Both are impure; leaf, met first on the way, stays pure.
+  MethodId DirtyA = F.P.numMethods();
+  MethodBuilder DA(F.P, "dirtyA", {JType::Ref}, JType::Int);
+  DA.aload(DA.arg(0)).invoke(Leaf).pop();
+  DA.aload(DA.arg(0)).invoke(DirtyA + 1).ireturn();
+  ASSERT_EQ(DA.finish(), DirtyA);
+  MethodBuilder DB(F.P, "dirtyB", {JType::Ref}, JType::Int);
+  DB.aload(DB.arg(0)).putstatic(F.Sink);
+  DB.aload(DB.arg(0)).invoke(DirtyA).ireturn();
+  ASSERT_EQ(DB.finish(), DirtyA + 1);
+  // pureA <-> pureB recurse and only read: pure.
+  MethodId PureA = F.P.numMethods();
+  MethodBuilder PA(F.P, "pureA", {JType::Ref}, JType::Int);
+  PA.aload(PA.arg(0)).invoke(PureA + 1).ireturn();
+  ASSERT_EQ(PA.finish(), PureA);
+  MethodBuilder PB(F.P, "pureB", {JType::Ref}, JType::Int);
+  PB.aload(PB.arg(0)).invoke(Leaf).pop();
+  PB.aload(PB.arg(0)).invoke(PureA).ireturn();
+  ASSERT_EQ(PB.finish(), PureA + 1);
+
+  // One analysis meets the callees in the order given; a store after
+  // each call is elided exactly when the callee is pure.
+  auto Elisions = [&](std::vector<MethodId> Callees, const char *Name) {
+    MethodBuilder B(F.P, Name, {JType::Ref}, std::nullopt);
+    for (MethodId Callee : Callees) {
+      Local Pv = B.newLocal(JType::Ref);
+      B.newInstance(F.Pair).astore(Pv);
+      B.aload(Pv).invoke(Callee).pop();
+      B.aload(Pv).aload(B.arg(0)).putfield(F.A);
+    }
+    B.ret();
+    B.finish();
+    AnalysisResult R = analyze(F.P, F.P.findMethod(Name));
+    std::vector<bool> Out;
+    for (unsigned I = 0; I != Callees.size(); ++I)
+      Out.push_back(site(R, I).Elide);
+    return Out;
+  };
+  const std::vector<bool> DirtyFirst = {false, false, true, true, true};
+  EXPECT_EQ(Elisions({DirtyA, DirtyA + 1, Leaf, PureA, PureA + 1}, "f1"),
+            DirtyFirst);
+  const std::vector<bool> PureFirst = {true, true, true, false, false};
+  EXPECT_EQ(Elisions({PureA + 1, PureA, Leaf, DirtyA + 1, DirtyA}, "f2"),
+            PureFirst);
+}
+
 TEST(Summaries, NullOrSameTagSurvivesPureCall) {
   PairFixture F;
   MethodId Probe = addProbe(F.P, "probe");
